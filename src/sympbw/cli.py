@@ -5,17 +5,11 @@ straighten, verify.  Output is plain text by default and JSON with
 ``--format json``; all output is deterministic for fixed flags and seed.
 Exit codes: 0 success, 1 domain error or failed verification (machine-readable
 JSON on stderr), 2 usage error.
-
-The environment variable SYMPBW_WORKERS (default 1) sets the process count
-used to sample verification points in parallel; reports are merged in seed
-order either way.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .fflv import dyck_paths, fflv_inequalities, lattice_points, multiexp_from_json, multiexp_to_json
 from .liealg import bar, positive_roots
@@ -180,18 +174,9 @@ def _cmd_straighten(args):
     return "\n".join(lines), 0
 
 
-def _sample_point(kind, n, seed):
-    if kind == "classical":
-        return sample_classical_flag(n, seed)
-    return sample_degenerate_point(n, seed)
-
-
 def _sample_points(kind, n, seeds):
-    workers = int(os.environ.get("SYMPBW_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sample_point, [kind] * len(seeds), [n] * len(seeds), seeds))
-    return [_sample_point(kind, n, seed) for seed in seeds]
+    sample = sample_classical_flag if kind == "classical" else sample_degenerate_point
+    return [sample(n, seed) for seed in seeds]
 
 
 def _cmd_verify(args):

@@ -12,12 +12,27 @@ deformation parameter s.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import itertools
 
 from .liealg import bar
 
 
 # --- index normalization ---
+
+
+@lru_cache(maxsize=1 << 16)
+def _sort_sign(seq):
+    """(sorted tuple, (-1)^inversions) of a row tuple, or (None, 0) on a repeat."""
+    k = len(seq)
+    if len(set(seq)) < k:
+        return None, 0
+    odd = False
+    for a in range(k - 1):
+        for b in range(a + 1, k):
+            if seq[a] > seq[b]:
+                odd = not odd
+    return tuple(sorted(seq)), -1 if odd else 1
 
 
 def normalize_index(k, seq):
@@ -29,15 +44,7 @@ def normalize_index(k, seq):
     seq = tuple(seq)
     if len(seq) != k:
         raise ValueError(f"expected {k} values, got {len(seq)}")
-    if len(set(seq)) != k:
-        return None, 0
-    inv = sum(
-        1
-        for a in range(k)
-        for b in range(a + 1, k)
-        if seq[a] > seq[b]
-    )
-    return tuple(sorted(seq)), -1 if inv % 2 else 1
+    return _sort_sign(seq)
 
 
 # --- minors ---
@@ -206,14 +213,20 @@ def poly_mul(p, q):
 
 
 def poly_eval(p, coords, s=None):
-    """Evaluate at a point: coords maps index tuples to exact rationals."""
-    total = Fraction(0)
+    """Evaluate at a point: coords maps index tuples to exact numbers.
+
+    Integer coordinates and s give an int; a Fraction among them keeps the
+    value an exact Fraction.
+    """
+    if s is not None and not isinstance(s, int):
+        s = Fraction(s)
+    total = 0
     for (s_deg, vars_), coeff in p.items():
-        val = Fraction(coeff)
+        val = coeff
         if s_deg is not None:
             if s is None:
                 raise ValueError("s-graded polynomial needs an s value")
-            val *= Fraction(s) ** s_deg
+            val *= s**s_deg
         for J in vars_:
             if J not in coords:
                 raise ValueError(f"no value for variable X_{J}")

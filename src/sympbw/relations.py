@@ -7,16 +7,17 @@ interpolating between the two.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import itertools
 
 from .pluecker import (
+    _sort_sign,
     computed_minor,
     is_reverse_admissible,
     minor_parts,
     normalize_index,
     pbw_degree_index,
     poly_add,
-    poly_canonical,
     poly_frozen,
     poly_term,
     term_sort_key,
@@ -43,9 +44,44 @@ class Relation:
         return dict(self.poly)
 
 
+def exchange_relation(l_seq, j_seq, t):
+    """Exchange relation on two row sequences, sorted or not.
+
+    The first t entries of j_seq trade places with every size-t selection of
+    slots in l_seq, and each product is subtracted from X_l X_j.  Every
+    variable is sign-normalized, so the head term X_l X_j carries the sign
+    that sorts both sequences; products with a repeated row vanish.
+    """
+    l_seq, j_seq = tuple(l_seq), tuple(j_seq)
+    p, q = len(l_seq), len(j_seq)
+    if not 1 <= t <= min(p, q):
+        raise ValueError(f"invalid exchange: |L|={p}, |J|={q}, t={t}")
+    a, sign_a = _sort_sign(l_seq)
+    b, sign_b = _sort_sign(j_seq)
+    if not (sign_a and sign_b):
+        raise ValueError("exchange relation on a vanishing variable")
+    # the two variables in (level, index) order, as in pluecker._vars_key
+    out = {(None, (a, b) if p < q or (p == q and a < b) else (b, a)): sign_a * sign_b}
+    moved, kept = j_seq[:t], j_seq[t:]
+    for positions in itertools.combinations(range(p), t):
+        new_l = list(l_seq)
+        for slot, pos in enumerate(positions):
+            new_l[pos] = moved[slot]
+        a, sign_a = _sort_sign(tuple(new_l))
+        b, sign_b = _sort_sign(tuple([l_seq[pos] for pos in positions]) + kept)
+        if not (sign_a and sign_b):
+            continue
+        key = (None, (a, b) if p < q or (p == q and a < b) else (b, a))
+        coeff = out.get(key, 0) - sign_a * sign_b
+        if coeff:
+            out[key] = coeff
+        else:
+            del out[key]
+    return out
+
+
 def pluecker_relation(n, L, J, t):
-    """Exchange relation R^t_{L,J}: swap the first t entries of J into L in
-    all slot-order-preserving ways and subtract.
+    """Exchange relation R^t_{L,J} on sorted indices (see exchange_relation).
 
     L and J must be strictly increasing over 1..2n with n >= |L| >= |J| >= t >= 1.
     """
@@ -58,19 +94,7 @@ def pluecker_relation(n, L, J, t):
             raise ValueError("L and J must be strictly increasing")
         if seq[0] < 1 or seq[-1] > 2 * n:
             raise ValueError(f"entries must lie in 1..{2 * n}")
-
-    out = poly_term(1, [L, J])
-    for positions in itertools.combinations(range(p), t):
-        new_l = list(L)
-        for slot, pos in enumerate(positions):
-            new_l[pos] = J[slot]
-        new_j = tuple(L[pos] for pos in positions) + J[t:]
-        idx_l, sign_l = normalize_index(p, new_l)
-        idx_j, sign_j = normalize_index(q, new_j)
-        if sign_l == 0 or sign_j == 0:
-            continue
-        out = poly_add(out, poly_term(-sign_l * sign_j, [idx_l, idx_j]))
-    return out
+    return exchange_relation(L, J, t)
 
 
 def _minor_variable(n, m):
@@ -138,10 +162,14 @@ def symplectic_relation(n, m):
     return out
 
 
+@lru_cache(maxsize=1 << 16)
+def _index_degree(J):
+    return pbw_degree_index(len(J), J)
+
+
 def term_pbw_degree(key):
     """Total PBW-degree of a term key: sum of entry counts above each level."""
-    _, vars_ = key
-    return sum(pbw_degree_index(len(J), J) for J in vars_)
+    return sum(map(_index_degree, key[1]))
 
 
 def degenerate_component(p):
@@ -233,46 +261,43 @@ def generate_ideal(n, kind):
     """
     if kind not in ("classical", "degenerate", "s-family"):
         raise ValueError(f"unknown kind: {kind!r}")
-    raw = []
+    seen = set()
+    out = []
+
+    def keep(base_kind, poly, label):
+        # label() is only built for a relation that survives dedup
+        if not poly:
+            return
+        suffix = ""
+        if kind == "degenerate":
+            poly = degenerate_component(poly)
+            base_kind += "_degenerate"
+            suffix = " (degenerate part)"
+        elif kind == "s-family":
+            poly = s_deformed_relation(poly)
+            base_kind = "s_family"
+            suffix = " (s-family)"
+        frozen = poly_frozen(poly)
+        if frozen not in seen:
+            seen.add(frozen)
+            out.append(Relation(base_kind, label() + suffix, frozen))
+
+    for m in _all_minors(n):
+        if not is_reverse_admissible(n, m):
+            keep("symplectic", symplectic_relation(n, m),
+                 lambda: f"S_{{({_index_str(n, computed_minor(n, m))})}}")
     rows = range(1, 2 * n + 1)
-    for I2, I1 in _all_minors(n):
-        if not is_reverse_admissible(n, (I2, I1)):
-            label = f"S_{{({_index_str(n, computed_minor(n, (I2, I1)))})}}"
-            raw.append(("symplectic", label, symplectic_relation(n, (I2, I1))))
     for p_len in range(1, n + 1):
         for q_len in range(1, p_len + 1):
             for L in itertools.combinations(rows, p_len):
+                members = set(L)
                 for J in itertools.combinations(rows, q_len):
                     for t in range(1, q_len + 1):
-                        label = (
-                            f"R^{t}_{{({_index_str(n, L)}),({_index_str(n, J)})}}"
-                        )
-                        raw.append(("pluecker", label, pluecker_relation(n, L, J, t)))
-
-    seen = set()
-    out = []
-    for base_kind, label, poly in raw:
-        if kind == "degenerate":
-            if not poly:
-                continue
-            poly = degenerate_component(poly)
-            base_kind += "_degenerate"
-            label += " (degenerate part)"
-        elif kind == "s-family":
-            if not poly:
-                continue
-            poly = s_deformed_relation(poly)
-            base_kind = "s_family"
-            label += " (s-family)"
-        frozen = poly_frozen(poly)
-        if not frozen or frozen in seen:
-            continue
-        seen.add(frozen)
-        out.append(Relation(base_kind, label, frozen))
-    out.sort(
-        key=lambda r: (
-            min(len(J) for (_, vars_), _c in r.poly for J in vars_),
-            r.poly,
-        )
-    )
+                        # J[:t] inside L: the one surviving swap puts J[:t]
+                        # back in place and cancels the head term
+                        if members.issuperset(J[:t]):
+                            continue
+                        keep("pluecker", exchange_relation(L, J, t),
+                             lambda: f"R^{t}_{{({_index_str(n, L)}),({_index_str(n, J)})}}")
+    out.sort(key=lambda r: (min(len(J) for (_, vars_), _c in r.poly for J in vars_), r.poly))
     return out

@@ -19,16 +19,8 @@ unnoticed cycle into a hard error instead of a hang.
 
 import itertools
 
-from .pluecker import (
-    _vars_key,
-    column_to_minor,
-    computed_minor,
-    normalize_index,
-    pbw_fill,
-    poly_add,
-    poly_term,
-)
-from .relations import degenerate_component, symplectic_relation
+from .pluecker import _vars_key, column_to_minor, computed_minor, pbw_fill
+from .relations import degenerate_component, exchange_relation, symplectic_relation
 from .tableaux import _semistandard_step, is_symplectic_column
 
 
@@ -166,33 +158,11 @@ def _first_violation(cols):
     return None
 
 
-def _exchange_relation(n, l_seq, j_seq, t):
-    """Exchange identity on two row sequences (not necessarily sorted):
-    the first t entries of j_seq trade places with every size-t selection of
-    slots in l_seq.  All variables are sign-normalized."""
-    p, q = len(l_seq), len(j_seq)
-    idx_l, sign_l = normalize_index(p, l_seq)
-    idx_j, sign_j = normalize_index(q, j_seq)
-    assert sign_l and sign_j, "exchange on a vanishing variable"
-    out = poly_term(sign_l * sign_j, [idx_l, idx_j])
-    for positions in itertools.combinations(range(p), t):
-        new_l = list(l_seq)
-        for slot, pos in enumerate(positions):
-            new_l[pos] = j_seq[slot]
-        new_j = tuple(l_seq[pos] for pos in positions) + tuple(j_seq[t:])
-        idx_l2, sign_l2 = normalize_index(p, new_l)
-        idx_j2, sign_j2 = normalize_index(q, new_j)
-        if sign_l2 == 0 or sign_j2 == 0:
-            continue
-        out = poly_add(out, poly_term(-sign_l2 * sign_j2, [idx_l2, idx_j2]))
-    return out
-
-
 def _p_step(n, mono, ring, trace):
     """Exchange a violating adjacent pair of the minimal arrangement."""
     arr, cols = _min_arrangement(n, mono)
     c, t = _first_violation(cols)
-    relation = _relation_in_ring(_exchange_relation(n, cols[c], cols[c + 1], t), ring)
+    relation = _relation_in_ring(exchange_relation(cols[c], cols[c + 1], t), ring)
     head, rest = _split_head(relation, _vars_key([arr[c], arr[c + 1]]))
     if trace:
         trace(

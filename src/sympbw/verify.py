@@ -26,6 +26,7 @@ from .liealg import (
     weyl_dimension,
 )
 from .pluecker import pbw_degree_index, poly_eval
+from .relations import term_pbw_degree
 from .tableaux import enumerate_tableaux, tableau_weight
 
 
@@ -33,7 +34,8 @@ from .tableaux import enumerate_tableaux, tableau_weight
 class FlagPoint:
     """Exact coordinates of a sampled flag, one table per level.
 
-    ``coords[k]`` maps every level-k Pluecker index to a Fraction; ``bases[k]``
+    ``coords[k]`` maps every level-k Pluecker index to an exact number: an
+    int, or a Fraction if the value is not integral.  ``bases[k]``
     retains the k spanning vectors the coordinates were read from, so that
     subspace-level checks can run on the same sample.
     """
@@ -63,6 +65,11 @@ class FlagPoint:
         return {"n": self.n, "kind": self.kind, "seed": self.seed, "levels": levels}
 
 
+def _exact(value):
+    """An int when the value is integral, else the value itself."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def _point_from_columns(n, columns, kind, seed):
     """Read all Pluecker coordinates off per-level spanning columns.
 
@@ -73,7 +80,7 @@ def _point_from_columns(n, columns, kind, seed):
         mat = [[columns[k][c][r] for c in range(k)] for r in range(2 * n)]
         table = {}
         for J in itertools.combinations(range(1, 2 * n + 1), k):
-            table[J] = matrix_minor(mat, J, tuple(range(1, k + 1)))
+            table[J] = _exact(matrix_minor(mat, J, tuple(range(1, k + 1))))
         assert any(table.values()), f"level {k} has no nonzero coordinate"
         coords[k] = table
     return FlagPoint(n=n, kind=kind, seed=seed, coords=coords, bases=columns)
@@ -161,7 +168,7 @@ def _wedge_apply(op, vec):
     out = {}
     for J, val in vec.items():
         for J2, c in op.get(J, ()):
-            out[J2] = out.get(J2, Fraction(0)) + c * val
+            out[J2] = out.get(J2, 0) + c * val
     return {J: v for J, v in out.items() if v}
 
 
@@ -174,7 +181,7 @@ def _wedge_exp_apply(op, c, vec):
         j += 1
         term = {J: Fraction(c) * v / j for J, v in _wedge_apply(op, term).items()}
         for J, v in term.items():
-            total[J] = total.get(J, Fraction(0)) + v
+            total[J] = total.get(J, 0) + v
     return {J: v for J, v in total.items() if v}
 
 
@@ -185,7 +192,7 @@ def _level_operators(n, k):
     basis = _wedge_basis(n, k)
     for (_, op1), (_, op2) in itertools.combinations(ops, 2):
         for J in basis:
-            vec = {J: Fraction(1)}
+            vec = {J: 1}
             lhs = _wedge_apply(op1, _wedge_apply(op2, vec))
             rhs = _wedge_apply(op2, _wedge_apply(op1, vec))
             assert lhs == rhs, f"operators do not commute at n={n}, k={k}"
@@ -217,7 +224,7 @@ def sample_degenerate_point(n, seed):
         vec = {tuple(range(1, k + 1)): Fraction(1)}
         for alpha, op in _level_operators(n, k):
             vec = _wedge_exp_apply(op, coeffs[alpha], vec)
-        table = {J: vec.get(J, Fraction(0)) for J in _wedge_basis(n, k)}
+        table = {J: _exact(vec.get(J, 0)) for J in _wedge_basis(n, k)}
         m = identity_matrix(2 * n)
         for alpha in positive_roots(n):
             g = _truncated_root_matrix(n, k, alpha)
@@ -277,13 +284,11 @@ def check_s_bridge(relations, points):
             if rel.ring != "s":
                 raise ValueError(f"expected s-family relations, got {rel.ring}")
             buckets = {}
-            for (s_deg, vars_), coeff in rel.poly:
-                val = Fraction(coeff)
-                exponent = 0 if s_deg is None else s_deg
-                for J in vars_:
+            for key, val in rel.poly:
+                for J in key[1]:
                     val *= flat[J]
-                    exponent -= pbw_degree_index(len(J), J)
-                buckets[exponent] = buckets.get(exponent, Fraction(0)) + val
+                exponent = (key[0] or 0) - term_pbw_degree(key)
+                buckets[exponent] = buckets.get(exponent, 0) + val
             checked += 1
             bad = {e: str(v) for e, v in buckets.items() if v}
             if bad:

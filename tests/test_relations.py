@@ -1,9 +1,20 @@
+import itertools
+import random
+
 import pytest
 
-from sympbw.pluecker import poly_term
+from sympbw.pluecker import (
+    computed_minor,
+    is_reverse_admissible,
+    normalize_index,
+    poly_add,
+    poly_frozen,
+    poly_term,
+)
 from sympbw.relations import (
     Relation,
     degenerate_component,
+    exchange_relation,
     generate_ideal,
     pluecker_relation,
     relation_text,
@@ -12,6 +23,7 @@ from sympbw.relations import (
     symplectic_relation,
     term_pbw_degree,
 )
+from sympbw.tableaux import entry_str
 
 # The full generating set for n = 2, frozen as rendered text.
 CLASSICAL_N2 = {
@@ -165,3 +177,94 @@ def test_relation_text_forms():
     assert relation_text(2, poly_term(-1, [(3,)]), ascii_only=True) == "-X_{2'}"
     two_terms = {(None, ((1,),)): 1, (None, ((2,),)): -3}
     assert relation_text(2, two_terms) == "X_{1} - 3*X_{2}"
+
+
+def test_exchange_relation_errors():
+    with pytest.raises(ValueError):
+        exchange_relation((1, 2), (2, 2), 1)  # vanishing variable
+    with pytest.raises(ValueError):
+        exchange_relation((1, 2), (3,), 2)  # t > |J|
+    with pytest.raises(ValueError):
+        exchange_relation((1, 2), (3,), 0)
+
+
+def test_exchange_relation_shuffled_input():
+    # Shuffling L, and J[:t] and J[t:] each within itself, scales every term
+    # by one sign: the sign that sorts the two sequences, reported on the head.
+    rng = random.Random(11)
+    rows = range(1, 9)
+    cases = 0
+    while cases < 200:
+        L = tuple(sorted(rng.sample(rows, rng.randint(1, 4))))
+        J = tuple(sorted(rng.sample(rows, rng.randint(1, len(L)))))
+        t = rng.randint(1, len(J))
+        plain = exchange_relation(L, J, t)
+        if not plain:
+            continue
+        cases += 1
+        assert plain == pluecker_relation(4, L, J, t)
+        l_seq = rng.sample(L, len(L))
+        j_seq = rng.sample(J[:t], t) + rng.sample(J[t:], len(J) - t)
+        shuffled = exchange_relation(l_seq, j_seq, t)
+        head_key = (None, tuple(sorted((L, J), key=lambda idx: (len(idx), idx))))
+        sign = normalize_index(len(L), l_seq)[1] * normalize_index(len(J), j_seq)[1]
+        assert plain[head_key] == 1 and shuffled[head_key] == sign
+        assert shuffled == {key: sign * coeff for key, coeff in plain.items()}
+
+
+def _naive_exchange(L, J, t):
+    out = poly_term(1, [L, J])
+    for positions in itertools.combinations(range(len(L)), t):
+        new_l = list(L)
+        for slot, pos in enumerate(positions):
+            new_l[pos] = J[slot]
+        new_j = tuple(L[pos] for pos in positions) + J[t:]
+        idx_l, sign_l = normalize_index(len(L), new_l)
+        idx_j, sign_j = normalize_index(len(J), new_j)
+        if sign_l and sign_j:
+            out = poly_add(out, poly_term(-sign_l * sign_j, [idx_l, idx_j]))
+    return out
+
+
+def _naive_ideal(n, kind):
+    """The generating set the slow way: every relation built and labelled,
+    every (L, J, t) included, then deduplicated."""
+
+    def index(J):
+        return ",".join(entry_str(n, v) for v in J)
+
+    raw = []
+    subsets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+    for m in itertools.product(subsets, repeat=2):
+        if 1 <= len(m[0]) + len(m[1]) <= n and not is_reverse_admissible(n, m):
+            raw.append(("symplectic", f"S_{{({index(computed_minor(n, m))})}}",
+                        symplectic_relation(n, m)))
+    rows = range(1, 2 * n + 1)
+    for p in range(1, n + 1):
+        for q in range(1, p + 1):
+            for L in itertools.combinations(rows, p):
+                for J in itertools.combinations(rows, q):
+                    for t in range(1, q + 1):
+                        raw.append(("pluecker", f"R^{t}_{{({index(L)}),({index(J)})}}",
+                                    _naive_exchange(L, J, t)))
+    seen, out = set(), []
+    for base_kind, label, poly in raw:
+        if not poly:
+            continue
+        if kind == "degenerate":
+            poly, base_kind, label = (degenerate_component(poly), base_kind + "_degenerate",
+                                      label + " (degenerate part)")
+        elif kind == "s-family":
+            poly, base_kind, label = s_deformed_relation(poly), "s_family", label + " (s-family)"
+        frozen = poly_frozen(poly)
+        if frozen not in seen:
+            seen.add(frozen)
+            out.append(Relation(base_kind, label, frozen))
+    out.sort(key=lambda r: (min(len(J) for (_, vars_), _c in r.poly for J in vars_), r.poly))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
+def test_generate_ideal_matches_naive_oracle(n, kind):
+    assert generate_ideal(n, kind) == _naive_ideal(n, kind)

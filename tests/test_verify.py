@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -6,6 +7,7 @@ import jsonschema
 import pytest
 
 from sympbw.liealg import Root, symplectic_form
+from sympbw.pluecker import poly_add, poly_eval
 from sympbw.relations import generate_ideal, poly_term
 from sympbw.verify import (
     check_counts,
@@ -83,6 +85,41 @@ def test_vanishing_detects_failure():
     bad = Relation("pluecker", "bad", poly_frozen(poly_term(1, [(1,), (1, 2)])))
     report = check_vanishing([bad], [sample_classical_flag(2, 0)])
     assert not report["ok"] and len(report["failures"]) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_coordinates_are_ints(n):
+    for seed in range(3):
+        for point in (sample_classical_flag(n, seed), sample_degenerate_point(n, seed)):
+            assert all(type(v) is int for v in point.flat().values())
+
+
+def test_poly_eval_exact_types():
+    p = poly_add(poly_term(3, [(1,), (2,)]), poly_term(-1, [(1, 2)]))
+    assert poly_eval(p, {(1,): 2, (2,): 5, (1, 2): 7}) == 23
+    assert type(poly_eval(p, {(1,): 2, (2,): 5, (1, 2): 7})) is int
+    # 3 * 1/3 * 3/2 - 1/2 = 1, exactly
+    exact = poly_eval(p, {(1,): Fraction(1, 3), (2,): Fraction(3, 2), (1, 2): Fraction(1, 2)})
+    assert exact == 1 and isinstance(exact, Fraction)
+    assert poly_eval(p, {(1,): Fraction(1, 3), (2,): 1, (1, 2): 0}) == 1
+
+
+@pytest.mark.parametrize("kind", ["classical", "degenerate"])
+def test_vanishing_catches_a_bumped_coefficient(kind):
+    sample = sample_classical_flag if kind == "classical" else sample_degenerate_point
+    points = [sample(2, seed) for seed in range(3)]
+    relations = generate_ideal(2, kind)
+    for i, rel in enumerate(relations):
+        (key, coeff), *rest = rel.poly
+        bumped = replace(rel, poly=((key, coeff + 1), *rest))
+        report = check_vanishing(relations[:i] + [bumped] + relations[i + 1 :], points)
+        # the bump adds exactly the bumped monomial's value at each point
+        expected = [
+            {"relation": rel.label, "seed": point.seed, "value": str(value)}
+            for point in points
+            if (value := poly_eval({key: 1}, point.flat()))
+        ]
+        assert expected and report["failures"] == expected and not report["ok"]
 
 
 def test_vanishing_kind_mismatch():
