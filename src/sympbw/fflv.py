@@ -9,6 +9,7 @@ end alpha_{j,jbar}).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .liealg import Root, jpos, positive_roots, root_from_dict, root_key
 
@@ -38,13 +39,8 @@ def _steps(alpha, n):
     return out
 
 
-def dyck_paths(n):
-    """All symplectic Dyck paths, lexicographically ordered.
-
-    A path starts at a simple root alpha_{i,i}, moves right/down through the
-    root triangle, and ends at a diagonal root (alpha_{j,j} or alpha_{j,jbar});
-    every diagonal prefix is itself a path.
-    """
+@lru_cache(maxsize=None)
+def _dyck_paths(n):
     paths = []
 
     def extend(path):
@@ -56,49 +52,61 @@ def dyck_paths(n):
 
     for i in range(1, n + 1):
         extend([Root(i, i, False)])
-    return sorted(paths, key=lambda p: tuple(root_key(a, n) for a in p))
+    return tuple(sorted(paths, key=lambda p: tuple(root_key(a, n) for a in p)))
+
+
+def dyck_paths(n):
+    """All symplectic Dyck paths, lexicographically ordered.
+
+    A path starts at a simple root alpha_{i,i}, moves right/down through the
+    root triangle, and ends at a diagonal root (alpha_{j,j} or alpha_{j,jbar});
+    every diagonal prefix is itself a path.
+    """
+    return list(_dyck_paths(n))
+
+
+@lru_cache(maxsize=None)
+def _inequality_index(n, m):
+    """(inequalities, right-hand sides, stored positive root -> indices of inequalities on it)."""
+    if len(m) != n or any(x < 0 for x in m):
+        raise ValueError(f"m must be a length-{n} vector of nonnegative integers")
+    ineqs = []
+    at = {alpha: [] for alpha in positive_roots(n)}
+    for k, path in enumerate(_dyck_paths(n)):
+        i, end = path[0].i, path[-1]
+        rhs = sum(m[i - 1 : end.j]) if not end.barred else sum(m[i - 1 :])
+        ineqs.append(FFLVInequality(path, rhs))
+        for alpha in path:
+            at[alpha].append(k)
+    return tuple(ineqs), tuple(q.rhs for q in ineqs), {alpha: tuple(ks) for alpha, ks in at.items()}
 
 
 def fflv_inequalities(n, m):
-    """Defining inequalities of P(lambda) for the m-weight vector, duplicates removed."""
-    if len(m) != n or any(x < 0 for x in m):
-        raise ValueError(f"m must be a length-{n} vector of nonnegative integers")
-    seen = set()
-    out = []
-    for path in dyck_paths(n):
-        i, end = path[0].i, path[-1]
-        rhs = sum(m[i - 1 : end.j]) if not end.barred else sum(m[i - 1 :])
-        key = (path, rhs)
-        if key not in seen:
-            seen.add(key)
-            out.append(FFLVInequality(path, rhs))
-    return out
+    """Defining inequalities of P(lambda) for the m-weight vector, one per Dyck path."""
+    return list(_inequality_index(n, tuple(m))[0])
 
 
 def contains(n, m, p):
     """True iff the multi-exponent p lies in P(lambda)."""
+    _, rhs, at = _inequality_index(n, tuple(m))
+    room = list(rhs)
     for alpha, exp in p.items():
         if exp < 0:
             return False
-        if not (1 <= alpha.i <= alpha.j <= n):
-            raise ValueError(f"root {alpha} out of range for n={n}")
-    for ineq in fflv_inequalities(n, m):
-        if sum(p.get(alpha, 0) for alpha in ineq.support) > ineq.rhs:
-            return False
-    return True
+        ks = at.get(alpha)
+        if ks is None:
+            raise ValueError(f"root {alpha} out of range for n={n}, or a barred alpha_{{i,n}}")
+        for k in ks:
+            room[k] -= exp
+    return all(r >= 0 for r in room)
 
 
 def lattice_points(n, m):
     """All integral points of P(lambda), lexicographic in the root reading order."""
     roots = positive_roots(n)
-    ineqs = fflv_inequalities(n, m)
-    # positions of each root inside each inequality's support
-    ineqs_at = [[] for _ in roots]
-    totals = [0] * len(ineqs)
-    for k, ineq in enumerate(ineqs):
-        for alpha in ineq.support:
-            ineqs_at[roots.index(alpha)].append(k)
-
+    _, rhs, at = _inequality_index(n, tuple(m))
+    ineqs_at = [at[alpha] for alpha in roots]
+    room = list(rhs)
     out = []
     exps = [0] * len(roots)
 
@@ -106,14 +114,14 @@ def lattice_points(n, m):
         if pos == len(roots):
             out.append({alpha: e for alpha, e in zip(roots, exps) if e})
             return
-        room = min(ineqs[k].rhs - totals[k] for k in ineqs_at[pos])
-        for e in range(room + 1):
+        top = min(room[k] for k in ineqs_at[pos])
+        for e in range(top + 1):
             exps[pos] = e
             for k in ineqs_at[pos]:
-                totals[k] += e
+                room[k] -= e
             assign(pos + 1)
             for k in ineqs_at[pos]:
-                totals[k] -= e
+                room[k] += e
         exps[pos] = 0
 
     assign(0)

@@ -44,8 +44,6 @@ def make_root(n, i, j, barred=False):
         raise ValueError(f"root indices out of range: i={i}, j={j}, n={n}")
     if barred and j == n:
         barred = False
-    if barred and i == j and i == n:
-        raise ValueError("unreachable")  # j == n was normalized above
     return Root(i, j, barred)
 
 

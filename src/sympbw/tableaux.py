@@ -13,6 +13,7 @@ from functools import lru_cache
 import itertools
 
 from .liealg import bar
+from .pluecker import pbw_fill
 
 
 def partition_from_m(m):
@@ -32,44 +33,53 @@ def highest_weight_tableau(m):
     return tuple(tuple(range(1, length + 1)) for length in column_lengths_from_m(m))
 
 
-def validate_tableau(n, tab):
+def _validate_columns(tab, top, height):
+    """Columns as tuples: positive weakly decreasing lengths up to height, entries in 1..top."""
     cols = tuple(tuple(col) for col in tab)
     lengths = [len(c) for c in cols]
     if any(l == 0 for l in lengths) or any(
         lengths[c] < lengths[c + 1] for c in range(len(cols) - 1)
     ):
         raise ValueError("column lengths must be positive and weakly decreasing")
-    if lengths and lengths[0] > n:
-        raise ValueError(f"columns longer than n={n}")
+    if lengths and lengths[0] > height:
+        raise ValueError(f"columns longer than n={height}")
     for col in cols:
         for e in col:
-            if not (1 <= e <= 2 * n):
-                raise ValueError(f"entry {e} outside alphabet 1..{2 * n}")
+            if not (1 <= e <= top):
+                raise ValueError(f"entry {e} outside alphabet 1..{top}")
     return cols
 
 
-def is_symplectic_column(n, col):
-    """Single-column conditions of a symplectic PBW tableau.
+def validate_tableau(n, tab):
+    return _validate_columns(tab, 2 * n, n)
+
+
+def _moved_entries_ok(col):
+    """Column conditions (i) and (ii) shared by the symplectic and type A rules.
 
     With mu the column length:
       (i)   an entry <= mu sits at its own row: T_i <= mu  =>  T_i = i;
-      (ii)  moved entries decrease downwards: T_{i1} != i1, i1 < i2  =>  T_{i1} > T_{i2};
-      (iii) if T_i = i then ibar may appear only above row i.
+      (ii)  moved entries decrease downwards: T_{i1} != i1, i1 < i2  =>  T_{i1} > T_{i2}.
+    Under (i) a moved entry exceeds mu, so (ii) only compares moved entries.
     """
-    mu = len(col)
-    for i1 in range(mu):
-        e = col[i1]
-        if e <= mu and e != i1 + 1:
-            return False
+    mu, prev = len(col), None
+    for i1, e in enumerate(col):
         if e != i1 + 1:
-            for i2 in range(i1 + 1, mu):
-                if not e > col[i2]:
-                    return False
-    for i in range(mu):
-        if col[i] == i + 1:
-            for i2 in range(i, mu):
-                if col[i2] == bar(i + 1, n):
-                    return False
+            if e <= mu or (prev is not None and e >= prev):
+                return False
+            prev = e
+    return True
+
+
+def is_symplectic_column(n, col):
+    """Single-column conditions of a symplectic PBW tableau: (i) and (ii) of
+    ``_moved_entries_ok``, and (iii) if T_i = i then ibar may appear only above row i.
+    """
+    if not _moved_entries_ok(col):
+        return False
+    for i, e in enumerate(col):
+        if e == i + 1 and bar(i + 1, n) in col[i:]:
+            return False
     return True
 
 
@@ -98,46 +108,30 @@ def is_symplectic_pbw_semistandard(n, tab):
 def is_pbw_semistandard_typeA(n2, tab):
     """PBW semistandardness for gl(n2) tableaux over the alphabet 1..n2.
 
-    Per column: entries <= mu sit at their own row, and moved entries strictly
-    decrease downwards; between columns: the same domination condition as in
-    the symplectic case.  No symplectic pair condition.
+    Per column: conditions (i) and (ii) of ``_moved_entries_ok``; between
+    columns: the same domination condition as in the symplectic case.  No
+    symplectic pair condition.
     """
-    cols = tuple(tuple(col) for col in tab)
-    lengths = [len(c) for c in cols]
-    if any(l == 0 for l in lengths) or any(
-        lengths[c] < lengths[c + 1] for c in range(len(cols) - 1)
-    ):
-        raise ValueError("column lengths must be positive and weakly decreasing")
-    for col in cols:
-        mu = len(col)
-        for i1 in range(mu):
-            e = col[i1]
-            if not (1 <= e <= n2):
-                raise ValueError(f"entry {e} outside alphabet 1..{n2}")
-            if e <= mu and e != i1 + 1:
-                return False
-            if e != i1 + 1:
-                for i2 in range(i1 + 1, mu):
-                    if not e > col[i2]:
-                        return False
-    return all(_semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1))
+    cols = _validate_columns(tab, n2, n2)  # a taller column would break condition (i)
+    return all(_moved_entries_ok(col) for col in cols) and all(
+        _semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def _symplectic_columns(n, length):
-    """All symplectic columns of the given length, in lexicographic order."""
-    return tuple(
-        col
-        for col in itertools.product(range(1, 2 * n + 1), repeat=length)
-        if is_symplectic_column(n, col)
-    )
+    """All symplectic columns of the given length, in lexicographic order.
+
+    Conditions (i) and (ii) leave one arrangement of each set of entries,
+    its ``pbw_fill``, so only the k-subsets of the alphabet are tried.
+    """
+    fills = (pbw_fill(J) for J in itertools.combinations(range(1, 2 * n + 1), length))
+    return tuple(sorted(col for col in fills if is_symplectic_column(n, col)))
 
 
 def enumerate_tableaux(n, m):
     """All symplectic PBW semistandard tableaux of shape m, column-major lexicographic."""
     lengths = column_lengths_from_m(m)
-    if not lengths:
-        return [()]
     out = []
 
     def grow(cols):

@@ -8,7 +8,7 @@ from sympbw.fflv import (
     multiexp_from_json,
     multiexp_to_json,
 )
-from sympbw.liealg import Root, weyl_dimension
+from sympbw.liealg import Root, positive_roots, weyl_dimension
 
 from test_liealg import DIMENSIONS
 
@@ -93,6 +93,45 @@ def test_contains_boundary():
     assert not contains(2, (1, 1), {Root(1, 1, False): -1})
     with pytest.raises(ValueError):
         contains(2, (1, 1), {Root(1, 3, False): 1})
+
+
+def test_contains_rejects_unnormalized_barred_n():
+    # alpha_{i,nbar} is the same root as alpha_{i,n}, stored unbarred
+    for alpha in (Root(1, 3, True), Root(3, 3, True)):
+        with pytest.raises(ValueError):
+            contains(3, (1, 1, 1), {alpha: 50})
+
+
+def _naive_contains(n, m, p):
+    if any(e < 0 for e in p.values()):
+        return False
+    return all(
+        sum(p.get(alpha, 0) for alpha in ineq.support) <= ineq.rhs
+        for ineq in fflv_inequalities(n, m)
+    )
+
+
+def test_contains_matches_naive_sum():
+    for n, m in ((1, (2,)), (2, (1, 1)), (2, (0, 2)), (3, (1, 0, 1)), (3, (0, 1, 1))):
+        roots = positive_roots(n)
+        for p in lattice_points(n, m):
+            assert contains(n, m, p)
+            for alpha in roots:
+                bumped = dict(p)
+                bumped[alpha] = bumped.get(alpha, 0) + 1
+                assert contains(n, m, bumped) == _naive_contains(n, m, bumped)
+                bumped[alpha] = -1
+                assert not contains(n, m, bumped)
+
+
+def test_cached_results_are_not_shared():
+    ineqs = fflv_inequalities(2, (1, 1))
+    ineqs.clear()
+    assert len(fflv_inequalities(2, (1, 1))) == 4
+    paths = dyck_paths(3)
+    paths.pop()
+    paths.append(())
+    assert len(dyck_paths(3)) == 12 and () not in dyck_paths(3)
 
 
 def test_multiexp_json_roundtrip():

@@ -18,6 +18,7 @@ from sympbw.tableaux import (
     tableau_to_json,
     tableau_weight,
     validate_tableau,
+    _symplectic_columns,
 )
 
 from test_liealg import DIMENSIONS
@@ -76,6 +77,23 @@ def test_census_counts_match_dimension():
         assert len(enumerate_tableaux(n, m)) == dim
 
 
+def test_symplectic_columns_match_brute_force():
+    cases = [(n, k) for n in range(1, 5) for k in range(1, n + 1)]
+    cases += [(5, k) for k in range(1, 4)]
+    for n, k in cases:
+        brute = tuple(
+            col
+            for col in itertools.product(range(1, 2 * n + 1), repeat=k)
+            if is_symplectic_column(n, col)
+        )
+        assert _symplectic_columns(n, k) == brute
+
+
+def test_census_counts_beyond_n6():
+    for n, m in ((7, (0,) * 6 + (1,)), (8, (0,) * 7 + (1,)), (7, (1, 0, 0, 0, 0, 0, 1))):
+        assert len(enumerate_tableaux(n, m)) == weyl_dimension(n, m)
+
+
 def test_enumeration_is_sorted_and_valid():
     for n, m in ((2, (1, 1)), (2, (0, 2)), (3, (1, 1, 0))):
         tabs = enumerate_tableaux(n, m)
@@ -107,6 +125,13 @@ def test_typeA_census_n4():
             if is_pbw_semistandard_typeA(4, (col1, col2)):
                 found.add((col1, col2))
     assert found == expected
+
+
+def test_typeA_rejects_invalid_input():
+    with pytest.raises(ValueError):
+        is_pbw_semistandard_typeA(2, ((2, 1), (5,)))  # bad entry after a failing column
+    with pytest.raises(ValueError):
+        is_pbw_semistandard_typeA(2, ((1, 2, 1),))  # taller than the alphabet
 
 
 def test_tableau_weight():
