@@ -39,6 +39,17 @@ def _parse_lambda(value, n):
     return lam
 
 
+def _positive_int(value):
+    """argparse type of ``--n``: an integer of at least 1."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _load_json_arg(value):
     if value.startswith("@"):
         with open(value[1:], encoding="utf-8") as fh:
@@ -225,7 +236,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, lam=False, lam_required=False):
-        p.add_argument("--n", type=int, required=True, help="rank")
+        p.add_argument("--n", type=_positive_int, required=True, help="rank")
         if lam:
             p.add_argument(
                 "--lambda", dest="lam", required=lam_required,
@@ -274,6 +285,10 @@ def build_parser():
     return parser
 
 
+# Built once, at import: a caller that runs main() many times in one process
+# pays for it once, and building it costs more than a small command.
+_PARSER = build_parser()
+
 _COMMANDS = {
     "roots": _cmd_roots,
     "dyck": _cmd_dyck,
@@ -288,20 +303,19 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:
         output, code = _COMMANDS[args.verb](args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output + "\n")
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output + "\n")
-    else:
+    if not args.out:
         print(output)
     return code
 

@@ -17,6 +17,7 @@ Both descent claims are asserted on every step, and a step budget turns any
 unnoticed cycle into a hard error instead of a hang.
 """
 
+from functools import lru_cache
 import itertools
 
 from .pluecker import _vars_key, column_to_minor, computed_minor, pbw_fill
@@ -76,6 +77,13 @@ def _validate_monomial(n, monomial):
     return tuple(sorted(cols, key=lambda J: (-len(J), J)))
 
 
+@lru_cache(maxsize=1 << 16)
+def _column(n, J):
+    """(pbw_fill(J), whether that filling is a symplectic column)."""
+    fill = pbw_fill(J)
+    return fill, is_symplectic_column(n, fill)
+
+
 def _arrangements(mono):
     """Distinct column orders compatible with the tableau shape."""
     groups = [list(g) for _, g in itertools.groupby(mono, key=len)]
@@ -85,14 +93,18 @@ def _arrangements(mono):
 
 
 def _min_arrangement(n, mono):
-    """(column order, filled columns) minimal in the tableau order."""
-    fills = {J: pbw_fill(J) for J in set(mono)}
-    best = None
-    for arr in _arrangements(mono):
-        cols = tuple(fills[J] for J in arr)
-        if best is None or tableau_order_compare(cols, best[1]) == -1:
-            best = (arr, cols)
-    return best
+    """(column order, filled columns) minimal in the tableau order.
+
+    The order compares columns from the right, each one bottom to top, and
+    each group of same-length columns keeps its positions in every
+    arrangement.  So the minimum puts the smallest reversed filling of each
+    group rightmost: every group sorted by reversed filling, descending.
+    """
+    arr = tuple(itertools.chain.from_iterable(
+        sorted(group, key=lambda J: _column(n, J)[0][::-1], reverse=True)
+        for _, group in itertools.groupby(mono, key=len)
+    ))
+    return arr, tuple(_column(n, J)[0] for J in arr)
 
 
 def _straight_tableau(n, mono):
@@ -101,12 +113,12 @@ def _straight_tableau(n, mono):
     At most one arrangement may fill to a symplectic PBW semistandard tableau;
     more than one would break the basis property and raises.
     """
-    fills = {J: pbw_fill(J) for J in set(mono)}
-    if not all(is_symplectic_column(n, col) for col in fills.values()):
+    columns = {J: _column(n, J) for J in set(mono)}
+    if not all(ok for _, ok in columns.values()):
         return None
     found = set()
     for arr in _arrangements(mono):
-        cols = tuple(fills[J] for J in arr)
+        cols = tuple(columns[J][0] for J in arr)
         if all(_semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1)):
             found.add(cols)
     assert len(found) <= 1, f"multiple semistandard arrangements: {sorted(found)}"
@@ -130,7 +142,7 @@ def _split_head(poly, head_vars):
 
 def _s_step(n, mono, ring, trace):
     """Replace the first non-symplectic column via its symplectic relation."""
-    bad = next(J for J in mono if not is_symplectic_column(n, pbw_fill(J)))
+    bad = next(J for J in mono if not _column(n, J)[1])
     minor = column_to_minor(n, bad)
     relation = _relation_in_ring(symplectic_relation(n, minor), ring)
     head, rest = _split_head(relation, (bad,))
@@ -204,7 +216,7 @@ def straighten(n, monomial, ring, trace=None, max_steps=200000):
         steps += 1
         if steps > max_steps:
             raise RuntimeError("straightening budget exhausted: suspected cycle")
-        if any(not is_symplectic_column(n, pbw_fill(J)) for J in mono):
+        if any(not _column(n, J)[1] for J in mono):
             expansion = _s_step(n, mono, ring, trace)
         else:
             expansion = _p_step(n, mono, ring, trace)

@@ -197,3 +197,46 @@ def test_usage_error_exit_2(capsys):
     assert with_missing == 2
     assert main(["not-a-verb"]) == 2
     capsys.readouterr()
+
+
+VERB_ARGS = {
+    "roots": (),
+    "dyck": (),
+    "polytope": ("--lambda", "1"),
+    "tableaux": ("--lambda", "1"),
+    "to-tableau": ("--lambda", "1", "--monomial", "[]"),
+    "to-monomial": ("--tableau", '{"shape": [1], "columns": [[1]]}'),
+    "relations": (),
+    "straighten": ("--ring", "classical", "--columns", "1"),
+    "verify": ("--suite", "classical-ideal", "--seeds", "1"),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+def test_rank_below_one_is_a_usage_error(capsys, verb):
+    code, out, _ = run(capsys, verb, "--n", "1", *VERB_ARGS[verb])
+    assert code == 0 and out
+    for bad in ("0", "-1"):
+        code, out, err = run(capsys, verb, "--n", bad, *VERB_ARGS[verb])
+        assert code == 2 and out == ""
+        assert "argument --n: must be at least 1" in err
+
+
+def test_out_to_missing_directory_exit_1(capsys, tmp_path):
+    path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "polytope", "--n", "2", "--lambda", "1,1", "--out", str(path))
+    assert code == 1 and out == ""
+    assert "No such file or directory" in json.loads(err)["error"]
+    assert not path.exists()
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    argv = ("straighten", "--n", "2", "--ring", "degenerate", "--columns", "1,3;2,4")
+    code, _, err = run(capsys, *argv, "--trace")
+    assert code == 0 and "P-step" in err
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+
+    alone = run(capsys, "roots", "--n", "2", "--ascii")
+    assert run(capsys, "roots", "--n", "2", "--bogus")[0] == 2
+    assert run(capsys, "roots", "--n", "2", "--ascii") == alone

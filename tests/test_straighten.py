@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from sympbw.straighten import minor_order_compare, straighten, tableau_order_compare
+from sympbw.pluecker import pbw_fill
+from sympbw.straighten import (
+    _arrangements,
+    _min_arrangement,
+    _validate_monomial,
+    minor_order_compare,
+    straighten,
+    tableau_order_compare,
+)
 from sympbw.tableaux import is_symplectic_pbw_semistandard
 from sympbw.verify import sample_classical_flag, sample_degenerate_point
 
@@ -38,6 +46,30 @@ def test_minor_order_compare():
     assert minor_order_compare((1, 3), (1, 2)) == 1
     assert minor_order_compare((2, 3), (1, 4)) == 1  # degree tie: last difference
     assert minor_order_compare((1, 2), (1, 2)) == 0
+
+
+def brute_min_arrangement(mono):
+    """The first arrangement minimal in the tableau order, by trying them all."""
+    best = None
+    for arr in _arrangements(mono):
+        cols = tuple(pbw_fill(J) for J in arr)
+        if best is None or tableau_order_compare(cols, best[1]) == -1:
+            best = (arr, cols)
+    return best
+
+
+@pytest.mark.parametrize("n, max_degree, count", [(2, 3, 285), (3, 3, 13243), (4, 2, 13365)])
+def test_min_arrangement_matches_brute_force(n, max_degree, count):
+    variables = [
+        J for k in range(1, n + 1) for J in itertools.combinations(range(1, 2 * n + 1), k)
+    ]
+    seen = 0
+    for degree in range(1, max_degree + 1):
+        for combo in itertools.combinations_with_replacement(variables, degree):
+            mono = _validate_monomial(n, combo)
+            assert _min_arrangement(n, mono) == brute_min_arrangement(mono), mono
+            seen += 1
+    assert seen == count
 
 
 def test_straight_input_passes_through():
