@@ -2,7 +2,7 @@
 Sampling points and checking the relations on them
 ==================================================
 
-Seeds exact rational points on the classical big cell and on the
+Seeds exact integral points on the classical big cell and on the
 degenerate orbit, then evaluates every generator on them.
 """
 

@@ -39,15 +39,19 @@ def _parse_lambda(value, n):
     return lam
 
 
-def _positive_int(value):
-    """argparse type of ``--n``: an integer of at least 1."""
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low):
+    """argparse type: an integer of at least ``low``."""
+
+    def parse(value):
+        try:
+            x = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+        if x < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {x}")
+        return x
+
+    return parse
 
 
 def _load_json_arg(value):
@@ -236,7 +240,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, lam=False, lam_required=False):
-        p.add_argument("--n", type=_positive_int, required=True, help="rank")
+        p.add_argument("--n", type=_int_at_least(1), required=True, help="rank")
         if lam:
             p.add_argument(
                 "--lambda", dest="lam", required=lam_required,
@@ -279,7 +283,8 @@ def build_parser():
     common(p, lam=True)
     p.add_argument("--suite", required=True,
                    choices=("counts", "roundtrip", "classical-ideal", "degenerate-ideal", "s-family"))
-    p.add_argument("--seeds", type=int, default=20, help="number of sampled points")
+    p.add_argument("--seeds", type=_int_at_least(0), default=20,
+                   help="number of sampled points")
     p.add_argument("--report", choices=("text", "json"), default="text")
 
     return parser

@@ -9,12 +9,12 @@ with ``bar(i) = 2n + 1 - i``.  Positive roots of type C_n come in two shapes,
     alpha_{i,jbar} = eps_i + eps_j       (1 <= i <= j <= n),
 
 and alpha_{i,n} = alpha_{i,nbar} = eps_i + eps_n is a single root (stored
-unbarred).  Matrices are plain lists of lists over exact scalars (int or
-Fraction); rows and columns are 0-indexed in storage, 1-indexed in formulas.
+unbarred).  Matrices are plain lists of lists of ints; rows and columns are
+0-indexed in storage, 1-indexed in formulas.  Determinants, minors and ranks
+come from one fraction-free (Bareiss) elimination, so they stay in ``int``.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def bar(r, n):
@@ -154,16 +154,19 @@ def weyl_dimension(n, m):
     lam = [sum(m[i:]) for i in range(n)]
     l = [lam[i] + n - i for i in range(n)]
     r = [n - i for i in range(n)]
-    dim = Fraction(1)
+    num = den = 1
     for i in range(n):
-        dim *= Fraction(l[i], r[i])
+        num *= l[i]
+        den *= r[i]
         for j in range(i + 1, n):
-            dim *= Fraction((l[i] - l[j]) * (l[i] + l[j]), (r[i] - r[j]) * (r[i] + r[j]))
-    assert dim.denominator == 1
-    return int(dim)
+            num *= (l[i] - l[j]) * (l[i] + l[j])
+            den *= (r[i] - r[j]) * (r[i] + r[j])
+    dim, rem = divmod(num, den)
+    assert rem == 0
+    return dim
 
 
-# --- exact matrix helpers (int / Fraction entries) ---
+# --- exact matrix helpers (int entries) ---
 
 
 def identity_matrix(size):
@@ -202,26 +205,49 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def det(mat):
-    """Exact determinant by Fraction Gaussian elimination."""
-    size = len(mat)
-    work = [[Fraction(x) for x in row] for row in mat]
-    sign = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col] != 0), None)
+def _bareiss(mat):
+    """Fraction-free Gaussian elimination (Bareiss 1968) of an integer matrix.
+
+    Returns (rank, d).  After each pivot every remaining entry is a minor of
+    the row-permuted input, so the division by the previous pivot is exact;
+    d is the last pivot with the sign of the row swaps, which is the
+    determinant when the matrix is square of full rank.  Floor division
+    would give wrong values on non-integers, so those raise ValueError.
+    """
+    work = [list(row) for row in mat]
+    if not all(isinstance(x, int) for row in work for x in row):
+        raise ValueError("elimination needs integer entries")
+    rows = len(work)
+    cols = len(work[0]) if work else 0
+    found, sign, prev = 0, 1, 1
+    for c in range(cols):
+        pivot = next((r for r in range(found, rows) if work[r][c]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
+            continue
+        if pivot != found:
+            work[found], work[pivot] = work[pivot], work[found]
             sign = -sign
-        for r in range(col + 1, size):
-            factor = work[r][col] / work[col][col]
-            if factor:
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    out = Fraction(sign)
-    for r in range(size):
-        out *= work[r][r]
-    return out
+        top = work[found]
+        p = top[c]
+        for r in range(found + 1, rows):
+            row = work[r]
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+        found += 1
+    return found, sign * prev
+
+
+def det(mat):
+    """Exact determinant of a square integer matrix."""
+    found, d = _bareiss(mat)
+    return d if found == len(mat) else 0
+
+
+def rank(vectors):
+    """Exact rank of a list of integer vectors of one length."""
+    return _bareiss(vectors)[0]
 
 
 def matrix_minor(mat, row_set, col_set):

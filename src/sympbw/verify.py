@@ -1,25 +1,27 @@
 """Exact point sampling and runtime checks.
 
-Samples rational points on the classical symplectic flag variety (unipotent
+Samples integral points on the classical symplectic flag variety (unipotent
 orbit through the highest-weight flag) and on its PBW degeneration (graded
 orbit, built level by level), then checks generated relations, projection
 geometry, enumeration counts, and the monomial/tableau bijection against
-them.  All arithmetic is exact.
+them.  All arithmetic is exact, in ``int``.
 """
 
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .correspondence import monomial_to_tableau, monomial_weight, tableau_to_monomial
 from .fflv import lattice_points
 from .liealg import (
     identity_matrix,
+    mat_add,
     mat_mul,
+    mat_scale,
     matrix_minor,
     positive_roots,
+    rank,
     root_vector_matrix,
     symplectic_form,
     transpose,
@@ -32,12 +34,11 @@ from .tableaux import enumerate_tableaux, tableau_weight
 
 @dataclass
 class FlagPoint:
-    """Exact coordinates of a sampled flag, one table per level.
+    """Integer coordinates of a sampled flag, one table per level.
 
-    ``coords[k]`` maps every level-k Pluecker index to an exact number: an
-    int, or a Fraction if the value is not integral.  ``bases[k]``
-    retains the k spanning vectors the coordinates were read from, so that
-    subspace-level checks can run on the same sample.
+    ``coords[k]`` maps every level-k Pluecker index to an int.  ``bases[k]``
+    retains the k integer spanning vectors the coordinates were read from, so
+    that subspace-level checks can run on the same sample.
     """
 
     n: int
@@ -65,22 +66,17 @@ class FlagPoint:
         return {"n": self.n, "kind": self.kind, "seed": self.seed, "levels": levels}
 
 
-def _exact(value):
-    """An int when the value is integral, else the value itself."""
-    return value.numerator if value.denominator == 1 else value
-
-
 def _point_from_columns(n, columns, kind, seed):
     """Read all Pluecker coordinates off per-level spanning columns.
 
-    ``columns[k]`` is a list of k vectors (length 2n, Fractions).
+    ``columns[k]`` is a list of k integer vectors of length 2n.
     """
     coords = {}
     for k in range(1, n + 1):
         mat = [[columns[k][c][r] for c in range(k)] for r in range(2 * n)]
         table = {}
         for J in itertools.combinations(range(1, 2 * n + 1), k):
-            table[J] = _exact(matrix_minor(mat, J, tuple(range(1, k + 1))))
+            table[J] = matrix_minor(mat, J, tuple(range(1, k + 1)))
         assert any(table.values()), f"level {k} has no nonzero coordinate"
         coords[k] = table
     return FlagPoint(n=n, kind=kind, seed=seed, coords=coords, bases=columns)
@@ -90,21 +86,9 @@ def _matrix_columns(m, count):
     return [tuple(row[c] for row in m) for c in range(count)]
 
 
-def _nilpotent_exp(n, mat, c):
-    """exp(c*mat) for nilpotent mat, exact."""
-    out = identity_matrix(2 * n)
-    term = identity_matrix(2 * n)
-    j = 0
-    while any(any(row) for row in term):
-        j += 1
-        term = [[Fraction(c) * v / j for v in row] for row in mat_mul(term, mat)]
-        out = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(out, term)]
-    return out
-
-
 def _random_coefficients(n, seed):
     rng = random.Random(seed)
-    return {alpha: Fraction(rng.randint(-9, 9)) for alpha in positive_roots(n)}
+    return {alpha: rng.randint(-9, 9) for alpha in positive_roots(n)}
 
 
 def sample_classical_flag(n, seed):
@@ -113,12 +97,15 @@ def sample_classical_flag(n, seed):
     The point is M acting on the highest-weight flag, with
     M = prod_alpha exp(c_alpha f_alpha) over all positive roots and small
     integer c_alpha; level-k coordinates are the k x k minors of the first k
-    columns of M.
+    columns of M.  Every root vector squares to zero in the defining
+    representation, so exp(c f) = I + c f; the Sp(2n) assert below fails if
+    that ever stops holding, since (I + c f)^T Psi (I + c f) = Psi - c^2 Psi f^2.
     """
     coeffs = _random_coefficients(n, seed)
-    m = identity_matrix(2 * n)
+    one = identity_matrix(2 * n)
+    m = one
     for alpha in positive_roots(n):
-        m = mat_mul(m, _nilpotent_exp(n, root_vector_matrix(n, alpha), coeffs[alpha]))
+        m = mat_mul(m, mat_add(one, mat_scale(coeffs[alpha], root_vector_matrix(n, alpha))))
     psi = symplectic_form(n)
     assert mat_mul(transpose(m), mat_mul(psi, m)) == psi, "sample left Sp(2n)"
     columns = {k: _matrix_columns(m, k) for k in range(1, n + 1)}
@@ -173,13 +160,19 @@ def _wedge_apply(op, vec):
 
 
 def _wedge_exp_apply(op, c, vec):
-    """exp(c * op) applied to vec; op is nilpotent on the wedge space."""
+    """exp(c * op) applied to an integer vec; op is a level operator.
+
+    The operator is the derivation of a truncated root matrix g with g^2 = 0,
+    so op^j / j! applies g at j distinct wedge positions and is integral.
+    Term j is c^j op^j(vec) / j!, and c * op(term_{j-1}) is j times it: the
+    floor division below is exact.
+    """
     total = dict(vec)
     term = vec
     j = 0
     while term:
         j += 1
-        term = {J: Fraction(c) * v / j for J, v in _wedge_apply(op, term).items()}
+        term = {J: c * v // j for J, v in _wedge_apply(op, term).items()}
         for J, v in term.items():
             total[J] = total.get(J, 0) + v
     return {J: v for J, v in total.items() if v}
@@ -221,17 +214,13 @@ def sample_degenerate_point(n, seed):
     coords = {}
     columns = {}
     for k in range(1, n + 1):
-        vec = {tuple(range(1, k + 1)): Fraction(1)}
+        vec = {tuple(range(1, k + 1)): 1}
         for alpha, op in _level_operators(n, k):
             vec = _wedge_exp_apply(op, coeffs[alpha], vec)
-        table = {J: _exact(vec.get(J, 0)) for J in _wedge_basis(n, k)}
+        table = {J: vec.get(J, 0) for J in _wedge_basis(n, k)}
         m = identity_matrix(2 * n)
         for alpha in positive_roots(n):
-            g = _truncated_root_matrix(n, k, alpha)
-            m = [
-                [a + coeffs[alpha] * b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(m, g)
-            ]
+            m = mat_add(m, mat_scale(coeffs[alpha], _truncated_root_matrix(n, k, alpha)))
         for J in _wedge_basis(n, k):
             minor = matrix_minor(m, J, tuple(range(1, k + 1)))
             assert minor == table[J], f"wedge/minor mismatch at level {k}, J={J}"
@@ -299,30 +288,13 @@ def check_s_bridge(relations, points):
 def _projection_13(n, k, vector):
     """Keep the first k and last k coordinates, zero the middle block."""
     return tuple(
-        v if i < k or i >= 2 * n - k else Fraction(0) for i, v in enumerate(vector)
+        v if i < k or i >= 2 * n - k else 0 for i, v in enumerate(vector)
     )
 
 
 def _projection_drop(i, vector):
     """Kill coordinate i (1-indexed)."""
-    return tuple(Fraction(0) if r == i - 1 else v for r, v in enumerate(vector))
-
-
-def _rank(vectors):
-    rows = [list(map(Fraction, v)) for v in vectors if any(v)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c] / rows[rank][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    return tuple(0 if r == i - 1 else v for r, v in enumerate(vector))
 
 
 def check_isotropy_projection(point, n, k):
@@ -347,7 +319,7 @@ def check_isotropy_projection(point, n, k):
     if k < n:
         upper = point.bases[k + 1]
         dropped = [_projection_drop(k + 1, v) for v in basis]
-        if _rank(list(upper) + dropped) != _rank(upper):
+        if rank(list(upper) + dropped) != rank(upper):
             return False
     return True
 

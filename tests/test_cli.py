@@ -222,6 +222,14 @@ def test_rank_below_one_is_a_usage_error(capsys, verb):
         assert "argument --n: must be at least 1" in err
 
 
+def test_negative_seed_count_is_a_usage_error(capsys):
+    argv = ("verify", "--n", "2", "--suite", "classical-ideal")
+    code, out, err = run(capsys, *argv, "--seeds", "-3")
+    assert code == 2 and out == ""
+    assert "argument --seeds: must be at least 0" in err
+    assert run(capsys, *argv, "--seeds", "0")[0] == 0
+
+
 def test_out_to_missing_directory_exit_1(capsys, tmp_path):
     path = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "polytope", "--n", "2", "--lambda", "1,1", "--out", str(path))

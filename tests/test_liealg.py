@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from sympbw.liealg import (
     Root,
     bar,
     cartan_element,
+    det,
     in_symplectic_algebra,
     jpos,
     make_root,
@@ -13,6 +17,7 @@ from sympbw.liealg import (
     mat_mul,
     matrix_minor,
     positive_roots,
+    rank,
     root_from_dict,
     root_key,
     root_vector_matrix,
@@ -122,7 +127,8 @@ def test_root_vector_weight_matches_cartan_action():
 
 
 def test_root_vector_squares_vanish():
-    for n in (2, 3):
+    # so exp(c f_alpha) = I + c f_alpha, which the classical sampler relies on
+    for n in range(1, 6):
         for a in positive_roots(n):
             f = root_vector_matrix(n, a)
             assert mat_mul(f, f) == [[0] * 2 * n for _ in range(2 * n)]
@@ -158,3 +164,71 @@ def test_matrix_minor_small():
     assert matrix_minor(mat, (1,), (1,)) == 1
     assert matrix_minor(mat, (1, 2), (1, 2)) == -3
     assert matrix_minor(mat, (1, 2, 3), (1, 2, 3)) == -3
+
+
+def permutation_det(mat):
+    """Leibniz expansion: sum over permutations of sign * product."""
+    total = 0
+    for perm in itertools.permutations(range(len(mat))):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(len(perm)), 2))
+        total += (-1) ** inversions * math.prod(mat[r][perm[r]] for r in range(len(mat)))
+    return total
+
+
+def fraction_rank(vectors):
+    """Row reduction over the rationals."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    found = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for r in range(found + 1, len(rows)):
+            f = rows[r][c] / rows[found][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[found])]
+        found += 1
+    return found
+
+
+def seeded_matrices(rng, rows, cols):
+    """Dense, sparse (pivots need row swaps), and rank-deficient integer matrices."""
+    dense = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    sparse = [[rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(cols)] for _ in range(rows)]
+    swapped = [[0] + row[1:] for row in dense[:-1]] + dense[-1:] if rows else []
+    dependent = [list(row) for row in dense]
+    if rows >= 2:
+        dependent[-1] = [2 * a - 3 * b for a, b in zip(dense[0], dense[1])]
+    return [dense, sparse, swapped, dependent]
+
+
+def test_elimination_matches_oracles():
+    rng = random.Random(7)
+    for size in range(6):
+        for _ in range(20):
+            for mat in seeded_matrices(rng, size, size):
+                assert det(mat) == permutation_det(mat), mat
+                assert rank(mat) == fraction_rank(mat), mat
+                rows = tuple(range(1, size + 1))
+                assert matrix_minor(mat, rows, rows) == permutation_det(mat)
+                if size:
+                    kept = rows[1:]
+                    sub = [row[1:] for row in mat[1:]]
+                    assert matrix_minor(mat, kept, kept) == permutation_det(sub)
+    for rows, cols in ((2, 5), (5, 2), (4, 6), (6, 3)):
+        for _ in range(20):
+            for mat in seeded_matrices(rng, rows, cols):
+                assert rank(mat) == fraction_rank(mat), mat
+    assert det([]) == 1 and rank([]) == 0
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[2, 4], [1, 2]]) == 0 and rank([[2, 4], [1, 2]]) == 1
+
+
+def test_elimination_rejects_non_integers():
+    for bad in (Fraction(1, 2), Fraction(3), 1.0):
+        with pytest.raises(ValueError):
+            det([[1, 0], [0, bad]])
+        with pytest.raises(ValueError):
+            rank([[bad, 1]])
+        with pytest.raises(ValueError):
+            matrix_minor([[bad, 1], [2, 3]], (1, 2), (1, 2))

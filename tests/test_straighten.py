@@ -4,14 +4,13 @@ import pytest
 
 from sympbw.pluecker import pbw_fill
 from sympbw.straighten import (
-    _arrangements,
     _min_arrangement,
     _validate_monomial,
     minor_order_compare,
     straighten,
     tableau_order_compare,
 )
-from sympbw.tableaux import is_symplectic_pbw_semistandard
+from sympbw.tableaux import _semistandard_step, _symplectic_columns, is_symplectic_pbw_semistandard
 from sympbw.verify import sample_classical_flag, sample_degenerate_point
 
 RINGS = ("classical", "degenerate")
@@ -29,6 +28,14 @@ def evaluate(monomial, coords):
     for col in monomial:
         value *= coords[tuple(sorted(col))]
     return value
+
+
+def arrangements(mono):
+    """Distinct column orders compatible with the tableau shape."""
+    groups = [list(g) for _, g in itertools.groupby(mono, key=len)]
+    pools = [sorted(set(itertools.permutations(g))) for g in groups]
+    for choice in itertools.product(*pools):
+        yield tuple(itertools.chain.from_iterable(choice))
 
 
 def test_tableau_order_compare():
@@ -51,7 +58,7 @@ def test_minor_order_compare():
 def brute_min_arrangement(mono):
     """The first arrangement minimal in the tableau order, by trying them all."""
     best = None
-    for arr in _arrangements(mono):
+    for arr in arrangements(mono):
         cols = tuple(pbw_fill(J) for J in arr)
         if best is None or tableau_order_compare(cols, best[1]) == -1:
             best = (arr, cols)
@@ -70,6 +77,31 @@ def test_min_arrangement_matches_brute_force(n, max_degree, count):
             assert _min_arrangement(n, mono) == brute_min_arrangement(mono), mono
             seen += 1
     assert seen == count
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_same_length_semistandard_pairs_descend(n):
+    # the rule that lets straightening test only the minimal arrangement
+    for k in range(1, n + 1):
+        for a, b in itertools.permutations(_symplectic_columns(n, k), 2):
+            if _semistandard_step(a, b):
+                assert a[::-1] > b[::-1], (a, b)
+
+
+@pytest.mark.parametrize("mono", [
+    tuple((r,) for r in (1, 2, 3, 4, 5, 6) * 2),
+    ((1, 4), (2, 5), (3, 6), (1, 6), (2, 4), (3, 5), (1,), (2,), (3,), (4,), (5,), (6,)),
+])
+def test_twelve_columns_n3(mono):
+    # twelve columns would take k! arrangements per check if each were tried
+    points = {
+        "classical": sample_classical_flag(3, 0).flat(),
+        "degenerate": sample_degenerate_point(3, 0).flat(),
+    }
+    for ring in RINGS:
+        result = straighten(3, mono, ring)
+        coords = points[ring]
+        assert evaluate(mono, coords) == sum(c * evaluate(tab, coords) for tab, c in result.items())
 
 
 def test_straight_input_passes_through():
