@@ -11,7 +11,7 @@ end alpha_{j,jbar}).
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .liealg import Root, jpos, positive_roots, root_from_dict, root_key
+from .liealg import Root, check_enumeration_size, jpos, positive_roots, root_from_dict, root_key
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,11 @@ def contains(n, m, p):
 
 
 def lattice_points(n, m):
-    """All integral points of P(lambda), lexicographic in the root reading order."""
+    """All integral points of P(lambda), lexicographic in the root reading order.
+
+    Refused with ValueError above liealg.ENUMERATION_LIMIT points.
+    """
+    check_enumeration_size(n, m)
     roots = positive_roots(n)
     _, rhs, at = _inequality_index(n, tuple(m))
     ineqs_at = [at[alpha] for alpha in roots]

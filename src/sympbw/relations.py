@@ -4,6 +4,12 @@ Quadratic Pluecker exchange relations R^t_{L,J}, linear symplectic relations
 S_{(I2,I1)} attached to non-reverse-admissible minors, their degenerate
 components (minimal total PBW-degree parts), and the one-parameter s-family
 interpolating between the two.
+
+An exchange relation depends only on the relative order of the rows of
+L u J, not on n or on the symplectic structure.  So generate_ideal builds
+each one once on the rows 1..m (an order pattern, see _exchange_patterns)
+and relabels it onto every m-subset of 1..2n by the increasing map; the
+relabelling keeps signs, term order and which triple comes first.
 """
 
 from dataclasses import dataclass
@@ -250,6 +256,45 @@ def _all_minors(n):
                 yield I2, I1
 
 
+@lru_cache(maxsize=None)
+def _exchange_patterns(p, q, m):
+    """First exchange relations, up to sign, whose rows cover exactly 1..m.
+
+    A tuple of (L, J, t, frozen relation) in (L, J, t) order, |L| = p,
+    |J| = q, L u J = {1..m}, skipping J[:t] inside L, where the one
+    surviving swap cancels the head term.
+
+    exchange_relation(L, J, t) depends only on the relative order of the
+    rows of L u J.  So for a row set U of size m and the increasing map
+    phi: 1..m -> U, R^t_{phi L, phi J} is R^t_{L,J} with phi applied to
+    every row.  phi keeps sorting signs, the (level, index) order of the
+    two variables, and lexicographic order, hence poly_frozen's sign and
+    term order and the (L, J, t) iteration order.  Relations equal up to
+    sign have one term set, hence one shape (p, q) and one row set U; so
+    the first triple of each class over U is the first pattern triple of
+    its class, relabelled by phi.
+    """
+    rows = tuple(range(1, m + 1))
+    seen = set()
+    out = []
+    for L in itertools.combinations(rows, p):
+        members = set(L)
+        rest = tuple(r for r in rows if r not in members)  # rows only J can cover
+        joins = (tuple(sorted(rest + S)) for S in itertools.combinations(L, q - len(rest)))
+        for J in sorted(joins):
+            for t in range(1, q + 1):
+                if members.issuperset(J[:t]):
+                    continue
+                poly = exchange_relation(L, J, t)
+                if not poly:
+                    continue
+                frozen = poly_frozen(poly)
+                if frozen not in seen:
+                    seen.add(frozen)
+                    out.append((L, J, t, frozen))
+    return tuple(out)
+
+
 def generate_ideal(n, kind):
     """Canonical deduplicated generating set, kind in {classical, degenerate, s-family}.
 
@@ -257,7 +302,13 @@ def generate_ideal(n, kind):
     relation per non-reverse-admissible minor; degenerate components or
     s-deformations of the same list for the other kinds.  Relations equal up
     to a global sign count once; representatives have positive leading
-    coefficient.
+    coefficient, labelled by the first (L, J, t) that gives them.
+
+    The exchange relations are those of _exchange_patterns, relabelled onto
+    every row set U.  A classical first occurrence is already canonical.  A
+    degenerate part or s-deformation first given by some triple is also
+    given, up to sign, by the first triple of that triple's classical class,
+    so only classical first occurrences are transformed.
     """
     if kind not in ("classical", "degenerate", "s-family"):
         raise ValueError(f"unknown kind: {kind!r}")
@@ -270,34 +321,43 @@ def generate_ideal(n, kind):
             return
         suffix = ""
         if kind == "degenerate":
-            poly = degenerate_component(poly)
+            poly = poly_frozen(degenerate_component(dict(poly)))
             base_kind += "_degenerate"
             suffix = " (degenerate part)"
         elif kind == "s-family":
-            poly = s_deformed_relation(poly)
+            poly = poly_frozen(s_deformed_relation(dict(poly)))
             base_kind = "s_family"
             suffix = " (s-family)"
-        frozen = poly_frozen(poly)
-        if frozen not in seen:
-            seen.add(frozen)
-            out.append(Relation(base_kind, label() + suffix, frozen))
+        if poly not in seen:
+            seen.add(poly)
+            out.append(Relation(base_kind, label() + suffix, poly))
 
     for m in _all_minors(n):
         if not is_reverse_admissible(n, m):
-            keep("symplectic", symplectic_relation(n, m),
+            keep("symplectic", poly_frozen(symplectic_relation(n, m)),
                  lambda: f"S_{{({_index_str(n, computed_minor(n, m))})}}")
     rows = range(1, 2 * n + 1)
+    names = {r: entry_str(n, r) for r in rows}
+    indices = {}  # one tuple object per Pluecker index, shared by every relation
     for p_len in range(1, n + 1):
         for q_len in range(1, p_len + 1):
-            for L in itertools.combinations(rows, p_len):
-                members = set(L)
-                for J in itertools.combinations(rows, q_len):
-                    for t in range(1, q_len + 1):
-                        # J[:t] inside L: the one surviving swap puts J[:t]
-                        # back in place and cancels the head term
-                        if members.issuperset(J[:t]):
-                            continue
-                        keep("pluecker", exchange_relation(L, J, t),
-                             lambda: f"R^{t}_{{({_index_str(n, L)}),({_index_str(n, J)})}}")
+            # |L u J| = |L| would put J[:t] inside L for every t
+            for size in range(p_len + 1, min(p_len + q_len, 2 * n) + 1):
+                patterns = _exchange_patterns(p_len, q_len, size)
+                variables = {var for *_, frozen in patterns for (_, vars_), _c in frozen
+                             for var in vars_}
+                for U in itertools.combinations(rows, size):
+                    phi = (None,) + U
+                    image = {}
+                    for var in variables:
+                        index = tuple([phi[r] for r in var])
+                        image[var] = indices.setdefault(index, index)
+
+                    def name(seq):
+                        return ",".join([names[phi[r]] for r in seq])
+
+                    for L, J, t, frozen in patterns:
+                        poly = tuple(((None, (image[a], image[b])), c) for (_, (a, b)), c in frozen)
+                        keep("pluecker", poly, lambda: f"R^{t}_{{({name(L)}),({name(J)})}}")
     out.sort(key=lambda r: (min(len(J) for (_, vars_), _c in r.poly for J in vars_), r.poly))
     return out

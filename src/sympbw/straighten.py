@@ -99,8 +99,8 @@ def _min_arrangement(n, mono):
     return arr, tuple(_column(n, J)[0] for J in arr)
 
 
-def _straight_tableau(n, mono):
-    """The filled columns of the monomial's semistandard arrangement, or None.
+def _is_straight(cols):
+    """Whether the minimal arrangement's filled columns are semistandard.
 
     Only the minimal arrangement can be semistandard: for symplectic columns
     of one length with fillings a != b, _semistandard_step(a, b) forces
@@ -110,12 +110,7 @@ def _straight_tableau(n, mono):
     somewhere, a straight monomial would be rewritten further, and a descent
     assert or the step budget would fail rather than the answer.
     """
-    if not all(_column(n, J)[1] for J in mono):
-        return None
-    _, cols = _min_arrangement(n, mono)
-    if all(_semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1)):
-        return cols
-    return None
+    return all(_semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1))
 
 
 def _relation_in_ring(poly, ring):
@@ -163,9 +158,9 @@ def _first_violation(cols):
     return None
 
 
-def _p_step(n, mono, ring, trace):
+def _p_step(n, mono, arrangement, ring, trace):
     """Exchange a violating adjacent pair of the minimal arrangement."""
-    arr, cols = _min_arrangement(n, mono)
+    arr, cols = arrangement
     c, t = _first_violation(cols)
     relation = _relation_in_ring(exchange_relation(cols[c], cols[c + 1], t), ring)
     head, rest = _split_head(relation, _vars_key([arr[c], arr[c + 1]]))
@@ -202,17 +197,20 @@ def straighten(n, monomial, ring, trace=None, max_steps=200000):
         coeff = work.pop(mono)
         if coeff == 0:
             continue
-        straight = _straight_tableau(n, mono)
-        if straight is not None:
-            result[straight] = result.get(straight, 0) + coeff
-            continue
+        arrangement = None  # stays None while a column is not symplectic
+        if all(_column(n, J)[1] for J in mono):
+            arrangement = _min_arrangement(n, mono)
+            cols = arrangement[1]
+            if _is_straight(cols):
+                result[cols] = result.get(cols, 0) + coeff
+                continue
         steps += 1
         if steps > max_steps:
             raise RuntimeError("straightening budget exhausted: suspected cycle")
-        if any(not _column(n, J)[1] for J in mono):
+        if arrangement is None:
             expansion = _s_step(n, mono, ring, trace)
         else:
-            expansion = _p_step(n, mono, ring, trace)
+            expansion = _p_step(n, mono, arrangement, ring, trace)
         for c, new_mono in expansion:
             new = work.get(new_mono, 0) + coeff * c
             if new:

@@ -12,7 +12,7 @@ lambda_i = m_i + ... + m_n.
 from functools import lru_cache
 import itertools
 
-from .liealg import bar
+from .liealg import bar, check_enumeration_size
 from .pluecker import pbw_fill
 
 
@@ -130,7 +130,11 @@ def _symplectic_columns(n, length):
 
 
 def enumerate_tableaux(n, m):
-    """All symplectic PBW semistandard tableaux of shape m, column-major lexicographic."""
+    """All symplectic PBW semistandard tableaux of shape m, column-major lexicographic.
+
+    Refused with ValueError above liealg.ENUMERATION_LIMIT tableaux.
+    """
+    check_enumeration_size(n, m)
     lengths = column_lengths_from_m(m)
     out = []
 

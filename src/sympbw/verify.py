@@ -263,20 +263,22 @@ def check_s_bridge(relations, points):
     s-graded relation must give the zero Laurent polynomial in s: the
     coefficient of each power of s is summed exactly and must cancel.
     """
+    if any(point.kind != "classical" for point in points):
+        raise ValueError("the rescaling family starts from classical points")
+    exponents = []  # per relation, the power of s each term lands on
+    for rel in relations:
+        if rel.ring != "s":
+            raise ValueError(f"expected s-family relations, got {rel.ring}")
+        exponents.append(tuple((key[0] or 0) - term_pbw_degree(key) for key, _ in rel.poly))
     failures = []
     checked = 0
     for point in points:
-        if point.kind != "classical":
-            raise ValueError("the rescaling family starts from classical points")
         flat = point.flat()
-        for rel in relations:
-            if rel.ring != "s":
-                raise ValueError(f"expected s-family relations, got {rel.ring}")
+        for rel, rel_exponents in zip(relations, exponents):
             buckets = {}
-            for key, val in rel.poly:
-                for J in key[1]:
+            for ((_, vars_), val), exponent in zip(rel.poly, rel_exponents):
+                for J in vars_:
                     val *= flat[J]
-                exponent = (key[0] or 0) - term_pbw_degree(key)
                 buckets[exponent] = buckets.get(exponent, 0) + val
             checked += 1
             bad = {e: str(v) for e, v in buckets.items() if v}

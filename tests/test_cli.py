@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -189,6 +190,20 @@ def test_domain_error_exit_1(capsys):
     assert json.loads(err)["error"].startswith("--lambda needs 2")
     code, _, err = run(capsys, "to-monomial", "--n", "2", "--tableau", "not json")
     assert code == 1 and "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("polytope",), ("tableaux",), ("verify", "--suite", "counts"), ("verify", "--suite", "roundtrip"),
+])
+def test_oversized_enumeration_is_refused(capsys, argv):
+    # dim V(9,9,9) at n = 3 is 10^9: refused before any point is listed
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv, "--n", "3", "--lambda", "9,9,9")
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "dim V(lambda) = 1000000000 exceeds the enumeration limit of 100000"
+    }
 
 
 def test_usage_error_exit_2(capsys):

@@ -140,3 +140,16 @@ def test_multiexp_json_roundtrip():
         assert multiexp_from_json(2, data) == p
     assert multiexp_to_json(2, {}) == []
     assert multiexp_from_json(2, []) == {}
+
+
+def test_enumeration_limit_is_inclusive(monkeypatch):
+    # dim V(1,1) at n = 2 is 16: listed at a limit of 16, refused at 15
+    from sympbw import liealg
+    from sympbw.tableaux import enumerate_tableaux
+
+    monkeypatch.setattr(liealg, "ENUMERATION_LIMIT", 16)
+    assert len(lattice_points(2, (1, 1))) == len(enumerate_tableaux(2, (1, 1))) == 16
+    monkeypatch.setattr(liealg, "ENUMERATION_LIMIT", 15)
+    for enumerate_all in (lattice_points, enumerate_tableaux):
+        with pytest.raises(ValueError, match="dim V.lambda. = 16 exceeds the enumeration limit of 15"):
+            enumerate_all(2, (1, 1))

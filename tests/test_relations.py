@@ -1,3 +1,4 @@
+from functools import lru_cache
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from sympbw.pluecker import (
 )
 from sympbw.relations import (
     Relation,
+    _index_str,
     degenerate_component,
     exchange_relation,
     generate_ideal,
@@ -268,3 +270,91 @@ def _naive_ideal(n, kind):
 @pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
 def test_generate_ideal_matches_naive_oracle(n, kind):
     assert generate_ideal(n, kind) == _naive_ideal(n, kind)
+
+
+def _relabel(poly, phi):
+    """Apply the row map phi to every row of every term."""
+    return {(s_deg, tuple(tuple(phi[r] for r in var) for var in vars_)): c
+            for (s_deg, vars_), c in poly.items()}
+
+
+def test_exchange_relation_is_invariant_under_increasing_relabelling():
+    # The lemma behind _exchange_patterns: R^t_{phi L, phi J} is R^t_{L,J}
+    # with phi applied to every row, term order and canonical sign included.
+    rng = random.Random(8)
+    triples = 0
+    for p in range(1, 5):
+        for q in range(1, 5):
+            for m in range(max(p, q), min(p + q, 8) + 1):
+                rows = range(1, m + 1)
+                for L in itertools.combinations(rows, p):
+                    for J in itertools.combinations(rows, q):
+                        if set(L) | set(J) != set(rows):
+                            continue
+                        for t in range(1, min(p, q) + 1):
+                            triples += 1
+                            poly = exchange_relation(L, J, t)
+                            for _ in range(2):
+                                phi = (None,) + tuple(sorted(rng.sample(range(1, 11), m)))
+                                image = exchange_relation(
+                                    [phi[r] for r in L], [phi[r] for r in J], t)
+                                assert image == _relabel(poly, phi), (L, J, t, phi)
+                                assert poly_frozen(image) == tuple(
+                                    _relabel(dict(poly_frozen(poly)), phi).items())
+    assert triples == 2582
+
+
+@lru_cache(maxsize=None)
+def _per_triple_exchange(n):
+    """(L, J, t, relation) over every sorted triple: the loop generate_ideal
+    ran before patterns, zero relations included."""
+    rows = range(1, 2 * n + 1)
+    out = []
+    for p_len in range(1, n + 1):
+        for q_len in range(1, p_len + 1):
+            for L in itertools.combinations(rows, p_len):
+                members = set(L)
+                for J in itertools.combinations(rows, q_len):
+                    for t in range(1, q_len + 1):
+                        if not members.issuperset(J[:t]):
+                            out.append((L, J, t, exchange_relation(L, J, t)))
+    return tuple(out)
+
+
+def _per_triple_ideal(n, kind):
+    """generate_ideal as it was before patterns: every (L, J, t) built,
+    transformed and deduplicated in (p, q, L, J, t) order."""
+    seen = set()
+    out = []
+
+    def keep(base_kind, poly, label):
+        if not poly:
+            return
+        suffix = ""
+        if kind == "degenerate":
+            poly = degenerate_component(poly)
+            base_kind += "_degenerate"
+            suffix = " (degenerate part)"
+        elif kind == "s-family":
+            poly = s_deformed_relation(poly)
+            base_kind = "s_family"
+            suffix = " (s-family)"
+        frozen = poly_frozen(poly)
+        if frozen not in seen:
+            seen.add(frozen)
+            out.append(Relation(base_kind, label() + suffix, frozen))
+
+    subsets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+    for m in itertools.product(subsets, repeat=2):
+        if 1 <= len(m[0]) + len(m[1]) <= n and not is_reverse_admissible(n, m):
+            keep("symplectic", symplectic_relation(n, m),
+                 lambda: f"S_{{({_index_str(n, computed_minor(n, m))})}}")
+    for L, J, t, poly in _per_triple_exchange(n):
+        keep("pluecker", poly, lambda: f"R^{t}_{{({_index_str(n, L)}),({_index_str(n, J)})}}")
+    out.sort(key=lambda r: (min(len(J) for (_, vars_), _c in r.poly for J in vars_), r.poly))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
+def test_generate_ideal_matches_per_triple_loop_n4(kind):
+    assert generate_ideal(4, kind) == _per_triple_ideal(4, kind)

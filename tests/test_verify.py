@@ -8,7 +8,7 @@ import pytest
 
 from sympbw.liealg import Root, symplectic_form
 from sympbw.pluecker import poly_add, poly_eval
-from sympbw.relations import generate_ideal, poly_term
+from sympbw.relations import generate_ideal, poly_term, term_pbw_degree
 from sympbw.verify import (
     check_counts,
     check_isotropy_projection,
@@ -157,6 +157,30 @@ def test_s_bridge():
         check_s_bridge(generate_ideal(2, "classical"), points)
     with pytest.raises(ValueError):
         check_s_bridge(generate_ideal(2, "s-family"), [sample_degenerate_point(2, 0)])
+
+
+def test_s_bridge_catches_bumped_coefficients():
+    # Bump the leading coefficient of the first and the last relation: each
+    # is reported at every point where the bumped monomial is nonzero, at its
+    # power of s, points outermost and relations in input order.
+    points = [sample_classical_flag(3, seed) for seed in range(3)]
+    relations = generate_ideal(3, "s-family")
+    assert check_s_bridge(relations, points)["ok"]
+    bumped = list(relations)
+    for i in (0, len(relations) - 1):
+        (key, coeff), *rest = relations[i].poly
+        bumped[i] = replace(relations[i], poly=((key, coeff + 1), *rest))
+    expected = []
+    for point in points:
+        for i in (0, len(relations) - 1):
+            key = relations[i].poly[0][0]
+            if value := poly_eval({(None, key[1]): 1}, point.flat()):
+                exponent = (key[0] or 0) - term_pbw_degree(key)
+                expected.append({"relation": relations[i].label, "seed": point.seed,
+                                 "nonzero": {exponent: str(value)}})
+    report = check_s_bridge(bumped, points)
+    assert len(expected) > 2 and report["failures"] == expected and not report["ok"]
+    assert report["checked"] == len(relations) * len(points)
 
 
 def test_flagpoint_schema():
