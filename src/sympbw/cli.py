@@ -4,11 +4,12 @@ Verbs: roots, dyck, polytope, tableaux, to-tableau, to-monomial, relations,
 straighten, verify.  Output is plain text by default and JSON with
 ``--format json``; all output is deterministic for fixed flags and seed.
 Exit codes: 0 success, 1 domain error or failed verification (machine-readable
-JSON on stderr), 2 usage error.
+JSON on stderr) or a reader that closed stdout early, 2 usage error.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .fflv import dyck_paths, fflv_inequalities, lattice_points, multiexp_from_json, multiexp_to_json
@@ -321,7 +322,16 @@ def main(argv=None):
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     if not args.out:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed early (``| head``): send what is still
+            # buffered to the null device so the flush at exit cannot fail too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
     return code
 
 

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -263,3 +267,20 @@ def test_parser_reuse_keeps_no_state(capsys):
     alone = run(capsys, "roots", "--n", "2", "--ascii")
     assert run(capsys, "roots", "--n", "2", "--bogus")[0] == 2
     assert run(capsys, "roots", "--n", "2", "--ascii") == alone
+
+
+def test_reader_closing_stdout_early_exits_1_without_traceback():
+    # `sympbw tableaux ... | head -1`: about 100 kB of output, more than a
+    # pipe buffers, so the write meets the closed end whatever the timing
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sympbw.cli", "tableaux", "--n", "6", "--lambda", "1,0,0,0,0,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.readline() == b"4576 tableaux\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

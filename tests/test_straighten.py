@@ -1,10 +1,20 @@
+import ast
+import inspect
 import itertools
+import random
 
 import pytest
 
-from sympbw.pluecker import pbw_fill
+import sympbw.straighten
+from sympbw.pluecker import _vars_key, column_to_minor, computed_minor, pbw_fill
+from sympbw.relations import exchange_relation, symplectic_relation
 from sympbw.straighten import (
+    _column,
+    _first_violation,
+    _is_straight,
     _min_arrangement,
+    _relation_in_ring,
+    _split_head,
     _validate_monomial,
     minor_order_compare,
     straighten,
@@ -179,3 +189,170 @@ def test_spot_checks_n3():
                 lhs = evaluate(mono, coords)
                 rhs = sum(c * evaluate(tab, coords) for tab, c in result.items())
                 assert lhs == rhs, (ring, mono)
+
+
+# --- the uncached rewriting path, kept as the oracle of the memoized one ---
+#
+# The step functions below are straighten's before each step was cached per
+# (n, monomial, ring): every relation, arrangement and validation is rebuilt
+# on every pop.  The helpers they share with the module are unchanged, and
+# the ones now cached are called through __wrapped__, past their caches.
+# The descent asserts are spelled as explicit raises, since pytest would
+# rewrite an assert here and change the exception's args.
+
+_oracle_validate = _validate_monomial.__wrapped__
+_oracle_min_arrangement = _min_arrangement.__wrapped__
+_oracle_is_straight = _is_straight.__wrapped__
+
+
+def _oracle_s_step(n, mono, ring, trace):
+    bad = next(J for J in mono if not _column(n, J)[1])
+    minor = column_to_minor(n, bad)
+    relation = _relation_in_ring(symplectic_relation(n, minor), ring)
+    head, rest = _split_head(relation, (bad,))
+    if trace:
+        trace(f"S-step on column {bad}: {len(rest)} replacement column(s)")
+    src_seq = computed_minor(n, minor)
+    remainder = list(mono)
+    remainder.remove(bad)
+    out = []
+    for (_, vars_), coeff in rest:
+        (new_col,) = vars_
+        tgt_seq = computed_minor(n, column_to_minor(n, new_col))
+        if minor_order_compare(tgt_seq, src_seq) != -1:
+            raise AssertionError((new_col, bad))
+        out.append((-head * coeff, _oracle_validate(n, remainder + [new_col])))
+    return out
+
+
+def _oracle_p_step(n, mono, arrangement, ring, trace):
+    arr, cols = arrangement
+    c, t = _first_violation(cols)
+    relation = _relation_in_ring(exchange_relation(cols[c], cols[c + 1], t), ring)
+    head, rest = _split_head(relation, _vars_key([arr[c], arr[c + 1]]))
+    if trace:
+        trace(
+            f"P-step on columns {arr[c]} | {arr[c + 1]} at row {t}: "
+            f"{len(rest)} exchange term(s)"
+        )
+    remainder = arr[:c] + arr[c + 2 :]
+    out = []
+    for (_, vars_), coeff in rest:
+        new_mono = _oracle_validate(n, remainder + vars_)
+        _, new_cols = _oracle_min_arrangement(n, new_mono)
+        if tableau_order_compare(new_cols, cols) != -1:
+            raise AssertionError((vars_, mono))
+        out.append((-head * coeff, new_mono))
+    return out
+
+
+def oracle_straighten(n, monomial, ring, trace=None, max_steps=200000):
+    if ring not in ("classical", "degenerate"):
+        raise ValueError(f"unknown ring: {ring!r}")
+    start = _oracle_validate(n, monomial)
+    work = {start: 1}
+    result = {}
+    steps = 0
+    while work:
+        mono = max(work)
+        coeff = work.pop(mono)
+        if coeff == 0:
+            continue
+        arrangement = None
+        if all(_column(n, J)[1] for J in mono):
+            arrangement = _oracle_min_arrangement(n, mono)
+            cols = arrangement[1]
+            if _oracle_is_straight(cols):
+                result[cols] = result.get(cols, 0) + coeff
+                continue
+        steps += 1
+        if steps > max_steps:
+            raise RuntimeError("straightening budget exhausted: suspected cycle")
+        if arrangement is None:
+            expansion = _oracle_s_step(n, mono, ring, trace)
+        else:
+            expansion = _oracle_p_step(n, mono, arrangement, ring, trace)
+        for c, new_mono in expansion:
+            new = work.get(new_mono, 0) + coeff * c
+            if new:
+                work[new_mono] = new
+            else:
+                work.pop(new_mono, None)
+    return {tab: c for tab, c in result.items() if c}
+
+
+def module_caches():
+    return [
+        obj for obj in vars(sympbw.straighten).values()
+        if callable(getattr(obj, "cache_clear", None))
+    ]
+
+
+def outcome(fn, n, mono, ring):
+    """(result, trace lines, (exception type, args) or None) of one call."""
+    lines = []
+    try:
+        return fn(n, mono, ring, trace=lines.append), lines, None
+    except Exception as exc:
+        return None, lines, (type(exc), exc.args)
+
+
+def oracle_corpus():
+    """17 seeded monomials per (n, degree, ring), n = 3, 4, degrees 2-4."""
+    rng = random.Random(0)
+    corpus = []
+    for n in (3, 4):
+        for degree in (2, 3, 4):
+            for ring in RINGS:
+                for _ in range(17):
+                    mono = tuple(sorted(
+                        tuple(sorted(rng.sample(range(1, 2 * n + 1), rng.randint(1, n))))
+                        for _ in range(degree)
+                    ))
+                    corpus.append((n, mono, ring))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def oracle_outcomes():
+    corpus = oracle_corpus()
+    return corpus, [outcome(oracle_straighten, *case) for case in corpus]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["caches-emptied", "caches-warm"])
+def test_memoized_path_matches_oracle(oracle_outcomes, warm):
+    corpus, expected = oracle_outcomes
+    assert len(corpus) == 204
+    # the known descent failures (ROADMAP item 1) must raise at the same step
+    failures = [exc for _, _, exc in expected if exc is not None]
+    assert len(failures) == 13 and {exc[0] for exc in failures} == {AssertionError}
+    for cache in module_caches():
+        cache.cache_clear()
+    for case, want in zip(corpus, expected):
+        if not warm:
+            for cache in module_caches():
+                cache.cache_clear()
+        assert outcome(straighten, *case) == want, case
+
+
+def test_every_cache_is_a_bounded_module_attribute():
+    # bench/tracer.memo_caches finds caches among module attributes only,
+    # and empties them before every benchmarked call
+    tree = ast.parse(inspect.getsource(sympbw.straighten))
+    decorated = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any("cache" in ast.unparse(dec) for dec in node.decorator_list)
+    }
+    found = {obj.__name__ for obj in module_caches()}
+    assert decorated == found
+    assert {"_s_step", "_p_step", "_pair_relation", "_column_relation"} <= found
+    for cache in module_caches():
+        assert cache is getattr(sympbw.straighten, cache.__name__)
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16, cache.__name__
+
+
+def test_list_input_matches_tuple_input():
+    assert straighten(2, [[1, 3], [2, 4]], "classical") == straighten(2, ((1, 3), (2, 4)), "classical")
