@@ -162,13 +162,10 @@ def _cmd_straighten(args):
     monomial = tuple(
         tuple(int(x) for x in col.split(",")) for col in args.columns.split(";")
     )
-    trace_lines = []
-    trace = trace_lines.append if args.trace else None
+    # each trace line goes out as it comes, so a failing call still shows its steps
+    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     result = straighten(args.n, monomial, args.ring, trace=trace)
     items = sorted(result.items())
-    if args.trace:
-        for line in trace_lines:
-            print(line, file=sys.stderr)
     if args.format == "json":
         out = {
             "input": [list(col) for col in monomial],

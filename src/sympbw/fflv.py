@@ -6,12 +6,37 @@ The polytope P(lambda) is cut out by one inequality per symplectic Dyck path:
 the exponents along the path sum to at most m_i + ... + m_j (path from row i
 to an unbarred diagonal end alpha_{j,j}) or m_i + ... + m_n (barred diagonal
 end alpha_{j,jbar}).
+
+lattice_points assigns the exponents in the root reading order and needs,
+at each root alpha, its room: the least slack over the paths through alpha.
+A path only moves right or down, which is forward in the reading order, so
+on every path through alpha the roots before alpha are assigned and the
+roots after it still carry 0.  With S(i) = m_1 + ... + m_{i-1}, the right-hand
+side of the path from row i to the end delta is E(delta) - S(i), where E is
+m_1 + ... + m_j for alpha_{j,j} and m_1 + ... + m_n for alpha_{j,jbar}.  A path
+through alpha is any walk from a start alpha_{i,i} to alpha followed by any
+walk from alpha to a diagonal end, so the room splits exactly into
+
+    room(alpha) = min E(delta) over the ends delta reachable from alpha
+                  - max (S(i) + exponent sum) over the walks into alpha.
+
+The first term depends on lambda alone.  The second is a longest-path value
+W over the grid: W(alpha) = p_alpha + max of W over the (at most two)
+predecessors of alpha and, at alpha_{i,i}, the start value S(i).  So each
+search node costs one max and one subtraction, whatever the number of Dyck
+paths, and the room equals the incidence-list minimum it replaces, point
+for point and in the same order.  contains keeps the inequality index: the
+inequalities are the definition of P(lambda), and a membership test by the
+same DP measured about 1.5x slower at n = 4.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .liealg import Root, check_enumeration_size, jpos, positive_roots, root_from_dict, root_key
+from .liealg import Root, check_enumeration_size, positive_roots, root_from_dict, root_key
+
+# Bound of every memo cache below (entries per cache; keys are n or (n, m)).
+_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -39,7 +64,7 @@ def _steps(alpha, n):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _dyck_paths(n):
     paths = []
 
@@ -65,7 +90,7 @@ def dyck_paths(n):
     return list(_dyck_paths(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _inequality_index(n, m):
     """(inequalities, right-hand sides, stored positive root -> indices of inequalities on it)."""
     if len(m) != n or any(x < 0 for x in m):
@@ -87,7 +112,7 @@ def fflv_inequalities(n, m):
 
 
 def contains(n, m, p):
-    """True iff the multi-exponent p lies in P(lambda)."""
+    """True iff the multi-exponent p lies in P(lambda), by the inequalities themselves."""
     _, rhs, at = _inequality_index(n, tuple(m))
     room = list(rhs)
     for alpha, exp in p.items():
@@ -101,31 +126,61 @@ def contains(n, m, p):
     return all(r >= 0 for r in room)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _room_plan(n, m):
+    """Per root, in reading order: (source slot, source slot, least end value).
+
+    Slots 0..n^2-1 hold the path maxima W of the roots, slots n^2 + i - 1
+    the start value S(i) = m_1 + ... + m_{i-1} of row i.  The sources of a
+    root are its predecessors under ``_steps`` and, at alpha_{i,i}, the start
+    of row i (a slot may repeat).  The least end value is the minimum of
+    E(delta) over the diagonal roots delta reachable from the root.
+    """
+    roots = tuple(positive_roots(n))
+    pos = {alpha: k for k, alpha in enumerate(roots)}
+    cum = [sum(m[:k]) for k in range(n + 1)]
+    sources = [[] for _ in roots]
+    for k, alpha in enumerate(roots):
+        if alpha.i == alpha.j and not alpha.barred:
+            sources[k].append(len(roots) + alpha.i - 1)
+        for beta in _steps(alpha, n):
+            sources[pos[beta]].append(k)
+    least = [0] * len(roots)
+    for k in range(len(roots) - 1, -1, -1):
+        alpha = roots[k]
+        ends = [least[pos[beta]] for beta in _steps(alpha, n)]
+        if alpha.i == alpha.j:
+            ends.append(cum[n] if alpha.barred else cum[alpha.j])
+        least[k] = min(ends)
+    starts = tuple(cum[:n])
+    plan = tuple((src[0], src[-1], low) for src, low in zip(sources, least))
+    return roots, plan, starts
+
+
 def lattice_points(n, m):
     """All integral points of P(lambda), lexicographic in the root reading order.
 
-    Refused with ValueError above liealg.ENUMERATION_LIMIT points.
+    Refused with ValueError above liealg.ENUMERATION_LIMIT points.  The room
+    of each root comes from the path-maximum DP described in the module
+    docstring, one max and one subtraction per search node.
     """
     check_enumeration_size(n, m)
-    roots = positive_roots(n)
-    _, rhs, at = _inequality_index(n, tuple(m))
-    ineqs_at = [at[alpha] for alpha in roots]
-    room = list(rhs)
+    roots, plan, starts = _room_plan(n, tuple(m))
+    size = len(roots)
+    best = [0] * size + list(starts)
+    exps = [0] * size
     out = []
-    exps = [0] * len(roots)
 
     def assign(pos):
-        if pos == len(roots):
+        if pos == size:
             out.append({alpha: e for alpha, e in zip(roots, exps) if e})
             return
-        top = min(room[k] for k in ineqs_at[pos])
-        for e in range(top + 1):
+        a, b, low = plan[pos]
+        base = max(best[a], best[b])
+        for e in range(low - base + 1):
             exps[pos] = e
-            for k in ineqs_at[pos]:
-                room[k] -= e
+            best[pos] = base + e
             assign(pos + 1)
-            for k in ineqs_at[pos]:
-                room[k] += e
         exps[pos] = 0
 
     assign(0)

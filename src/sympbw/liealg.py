@@ -14,7 +14,7 @@ unbarred).  Matrices are plain lists of lists of ints; rows and columns are
 come from one fraction-free (Bareiss) elimination, so they stay in ``int``.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def bar(r, n):
@@ -22,12 +22,12 @@ def bar(r, n):
     return 2 * n + 1 - r
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """Positive root alpha_{i,j} (barred=False) or alpha_{i,jbar} (barred=True).
 
     Always 1 <= i <= j <= n, and the identified root alpha_{i,n} =
-    alpha_{i,nbar} is stored with barred=False.
+    alpha_{i,nbar} is stored with barred=False.  A tuple, so hashing and
+    equality run in C; a Root compares equal to the plain tuple (i, j, barred).
     """
 
     i: int

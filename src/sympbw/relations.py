@@ -256,7 +256,7 @@ def _all_minors(n):
                 yield I2, I1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _exchange_patterns(p, q, m):
     """First exchange relations, up to sign, whose rows cover exactly 1..m.
 

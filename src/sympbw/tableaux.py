@@ -118,7 +118,7 @@ def is_pbw_semistandard_typeA(n2, tab):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _symplectic_columns(n, length):
     """All symplectic columns of the given length, in lexicographic order.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .correspondence import monomial_to_tableau, monomial_weight, tableau_to_monomial
-from .fflv import lattice_points
+from .fflv import lattice_points, multiexp_to_json
 from .liealg import (
     identity_matrix,
     mat_add,
@@ -112,7 +112,7 @@ def sample_classical_flag(n, seed):
     return _point_from_columns(n, columns, "classical", seed)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _wedge_basis(n, k):
     return tuple(itertools.combinations(range(1, 2 * n + 1), k))
 
@@ -178,7 +178,7 @@ def _wedge_exp_apply(op, c, vec):
     return {J: v for J, v in total.items() if v}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _level_operators(n, k):
     """Operators for all positive roots at level k, commutativity asserted."""
     ops = [(alpha, degenerate_operator(n, k, alpha)) for alpha in positive_roots(n)]
@@ -351,13 +351,13 @@ def check_roundtrip(n, lam):
         tab = monomial_to_tableau(n, lam, p)
         key = tuple(tuple(col) for col in tab)
         if key in seen:
-            failures.append({"monomial": dict(p), "error": "tableau hit twice"})
+            failures.append({"monomial": multiexp_to_json(n, p), "error": "tableau hit twice"})
         seen.add(key)
         back_m, back = tableau_to_monomial(n, tab)
         if back_m != lam or back != p:
-            failures.append({"monomial": dict(p), "error": "round trip changed it"})
+            failures.append({"monomial": multiexp_to_json(n, p), "error": "round trip changed it"})
         if monomial_weight(n, lam, p) != tableau_weight(n, tab):
-            failures.append({"monomial": dict(p), "error": "weight mismatch"})
+            failures.append({"monomial": multiexp_to_json(n, p), "error": "weight mismatch"})
     if len(seen) != len(tableaux):
         failures.append({"error": f"image size {len(seen)} != {len(tableaux)} tableaux"})
     return {"suite": "roundtrip", "n": n, "lambda": list(lam),

@@ -133,6 +133,14 @@ def test_straighten_trace(capsys):
     assert "P-step" in err
 
 
+def test_straighten_trace_is_written_before_a_failure(capsys):
+    # a known descent failure (ROADMAP item 1): the two steps before it still show
+    with pytest.raises(AssertionError):
+        main(["straighten", "--n", "4", "--ring", "classical", "--columns", "1,2;1,3,6,8", "--trace"])
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 2
+
+
 def test_straighten_json(capsys):
     code, out, _ = run(
         capsys, "straighten", "--n", "2", "--ring", "classical",
@@ -162,6 +170,23 @@ def test_verify_json_report(capsys):
     report = json.loads(out)
     assert report["ok"] and report["checked"] == 18
     jsonschema.validate(report, load_schema("verifyreport.schema.json"))
+
+
+def test_roundtrip_failure_report_is_json(capsys, monkeypatch):
+    from sympbw import verify
+
+    monkeypatch.setattr(verify, "monomial_weight", lambda n, m, p: (0,) * n)
+    code, out, _ = run(
+        capsys, "verify", "--n", "2", "--suite", "roundtrip", "--lambda", "1,1", "--report", "json"
+    )
+    assert code == 1
+    report = json.loads(out)
+    jsonschema.validate(report, load_schema("verifyreport.schema.json"))
+    assert not report["ok"] and report["failures"]
+    assert {f["error"] for f in report["failures"]} == {"weight mismatch"}
+    multiexponent = load_schema("multiexponent.schema.json")
+    for failure in report["failures"]:
+        jsonschema.validate(failure["monomial"], multiexponent)
 
 
 def test_verify_degenerate_and_s_family(capsys):

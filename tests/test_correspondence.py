@@ -86,3 +86,11 @@ def test_monomial_outside_polytope_rejected():
 def test_non_semistandard_tableau_rejected():
     with pytest.raises(ValueError):
         tableau_to_monomial(2, ((1, 2), (4,)))
+
+
+def test_plain_tuple_keys_match_root_keys():
+    # a Root is the tuple (i, j, barred), so either spelling of a key works
+    for p, tab in PAIRING:
+        plain = {tuple(alpha): e for alpha, e in p.items()}
+        assert monomial_to_tableau(2, (1, 1), plain) == tab
+        assert monomial_weight(2, (1, 1), plain) == monomial_weight(2, (1, 1), p)

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
+from sympbw.correspondence import monomial_to_tableau, monomial_weight
 from sympbw.fflv import (
+    _inequality_index,
     contains,
     dyck_paths,
     fflv_inequalities,
@@ -8,7 +12,7 @@ from sympbw.fflv import (
     multiexp_from_json,
     multiexp_to_json,
 )
-from sympbw.liealg import Root, positive_roots, weyl_dimension
+from sympbw.liealg import Root, check_enumeration_size, positive_roots, weyl_dimension
 
 from test_liealg import DIMENSIONS
 
@@ -153,3 +157,69 @@ def test_enumeration_limit_is_inclusive(monkeypatch):
     for enumerate_all in (lattice_points, enumerate_tableaux):
         with pytest.raises(ValueError, match="dim V.lambda. = 16 exceeds the enumeration limit of 15"):
             enumerate_all(2, (1, 1))
+
+
+# --- the incidence-list search, kept as the oracle of the room DP ---
+#
+# lattice_points before the DP: at each root, the room is the least slack of
+# the inequalities through it, and choosing an exponent updates all of them.
+
+
+def oracle_lattice_points(n, m):
+    check_enumeration_size(n, m)
+    roots = positive_roots(n)
+    _, rhs, at = _inequality_index(n, tuple(m))
+    ineqs_at = [at[alpha] for alpha in roots]
+    room = list(rhs)
+    out = []
+    exps = [0] * len(roots)
+
+    def assign(pos):
+        if pos == len(roots):
+            out.append({alpha: e for alpha, e in zip(roots, exps) if e})
+            return
+        top = min(room[k] for k in ineqs_at[pos])
+        for e in range(top + 1):
+            exps[pos] = e
+            for k in ineqs_at[pos]:
+                room[k] -= e
+            assign(pos + 1)
+            for k in ineqs_at[pos]:
+                room[k] += e
+        exps[pos] = 0
+
+    assign(0)
+    return out
+
+
+ORACLE_WEIGHTS = [
+    (n, m)
+    for n in range(1, 5)
+    for m in itertools.product(range(3), repeat=n)
+    if weyl_dimension(n, m) <= 30_000
+] + [(5, (1, 0, 0, 0, 1)), (5, (0, 1, 0, 1, 0)), (6, (1, 0, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("n, m", ORACLE_WEIGHTS, ids=lambda x: str(x))
+def test_room_dp_matches_oracle(n, m):
+    got = lattice_points(n, m)
+    want = oracle_lattice_points(n, m)
+    assert got == want
+    # same points in the same order, each dict in reading order
+    assert [list(p.items()) for p in got] == [list(p.items()) for p in want]
+
+
+@pytest.mark.parametrize("n, dim", [(8, 4862), (9, 16796)])
+def test_last_fundamental_weight_counts(n, dim):
+    m = (0,) * (n - 1) + (1,)
+    assert weyl_dimension(n, m) == dim
+    assert len(lattice_points(n, m)) == dim
+
+
+def test_list_weight_matches_tuple_weight():
+    n, m = 3, (1, 0, 1)
+    points = lattice_points(n, m)
+    assert lattice_points(n, list(m)) == points
+    for p in points:
+        assert monomial_to_tableau(n, list(m), p) == monomial_to_tableau(n, m, p)
+        assert monomial_weight(n, list(m), p) == monomial_weight(n, m, p)

@@ -89,6 +89,14 @@ def test_root_dict_roundtrip():
             assert root_from_dict(n, a.to_dict()) == a
 
 
+def test_root_is_a_named_tuple():
+    alpha = Root(1, 2, True)
+    assert repr(alpha) == "Root(i=1, j=2, barred=True)"
+    assert alpha.to_dict() == {"i": 1, "j": 2, "barred": True}
+    assert alpha == (1, 2, True) and hash(alpha) == hash((1, 2, True))
+    assert Root(1, 2) == Root(1, 2, False)
+
+
 def test_root_vector_matrices_n2():
     def e(a, b, size=4):
         m = [[0] * size for _ in range(size)]
