@@ -11,7 +11,6 @@ and s_deg either None (plain polynomial) or a nonnegative power of the
 deformation parameter s.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 import itertools
 
@@ -210,29 +209,6 @@ def poly_mul(p, q):
             else:
                 out.pop(key, None)
     return out
-
-
-def poly_eval(p, coords, s=None):
-    """Evaluate at a point: coords maps index tuples to exact numbers.
-
-    Integer coordinates and s give an int; a Fraction among them keeps the
-    value an exact Fraction.
-    """
-    if s is not None and not isinstance(s, int):
-        s = Fraction(s)
-    total = 0
-    for (s_deg, vars_), coeff in p.items():
-        val = coeff
-        if s_deg is not None:
-            if s is None:
-                raise ValueError("s-graded polynomial needs an s value")
-            val *= s**s_deg
-        for J in vars_:
-            if J not in coords:
-                raise ValueError(f"no value for variable X_{J}")
-            val *= coords[J]
-        total += val
-    return total
 
 
 def term_sort_key(key):

@@ -8,10 +8,17 @@ interpolating between the two.
 An exchange relation depends only on the relative order of the rows of
 L u J, not on n or on the symplectic structure.  So generate_ideal builds
 each one once on the rows 1..m (an order pattern, see _exchange_patterns)
-and relabels it onto every m-subset of 1..2n by the increasing map; the
+and relabels it onto every m-subset U of 1..2n by the increasing map; the
 relabelling keeps signs, term order and which triple comes first.
+
+The cut lemma does the same for the other kinds.  A pattern row r lands
+above level k exactly when r > c_k = |U & 1..k|, and every variable has
+level |L| or |J|.  So the cuts (c_|L|, c_|J|) alone fix each term's PBW
+degree, hence the degenerate component and the s-grading: they are built
+once per pattern and cut pair (see _kind_patterns) and relabelled.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
@@ -32,7 +39,7 @@ from .pluecker import (
 from .tableaux import entry_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     kind: str  # pluecker | symplectic | pluecker_degenerate | symplectic_degenerate | s_family
     label: str
@@ -295,6 +302,68 @@ def _exchange_patterns(p, q, m):
     return tuple(out)
 
 
+@lru_cache(maxsize=1 << 12)
+def _kind_patterns(p, q, m, kind, cuts):
+    """The patterns of _exchange_patterns(p, q, m) in the given kind, for
+    the row sets U with cuts = (|U & 1..p|, |U & 1..q|).
+
+    Every variable of an exchange relation has level p or q, and the
+    increasing map phi: 1..m -> U sends a pattern row r above level k
+    (phi(r) > k) exactly when r > c_k.  So the cuts alone fix each term's
+    PBW degree, hence the degenerate component or s-grading, its canonical
+    sign and which pattern gives it first: the result, relabelled by phi,
+    is the transformed relations over U, first occurrences only, in
+    (L, J, t) order.  "classical" returns the patterns unchanged.
+    """
+    patterns = _exchange_patterns(p, q, m)
+    if kind == "classical":
+        return patterns
+    level_cut = {p: cuts[0], q: cuts[1]}
+    seen = set()
+    out = []
+    for L, J, t, frozen in patterns:
+        # a variable's rows are sorted: those above the cut are the tail past bisect
+        degrees = [sum(len(var) - bisect_right(var, level_cut[len(var)]) for var in vars_)
+                   for (_, vars_), _c in frozen]
+        low = min(degrees)
+        if kind == "degenerate":
+            poly = {key: c for (key, c), d in zip(frozen, degrees) if d == low}
+        else:
+            poly = {(d - low, vars_): c for ((_, vars_), c), d in zip(frozen, degrees)}
+        poly = poly_frozen(poly)
+        if poly not in seen:
+            seen.add(poly)
+            out.append((L, J, t, poly))
+    return tuple(out)
+
+
+class _TermImage(dict):
+    """Pattern term -> the same term on the rows of U, built on first use.
+
+    A term recurs in about three relations over U on average.  Sharing one
+    tuple per term divides the objects generate_ideal allocates, and so the
+    garbage collector's work, by about that factor.
+    """
+
+    def __init__(self, image):
+        super().__init__()
+        self.image = image  # pattern variable -> its index over U
+
+    def __missing__(self, term):
+        (s, (a, b)), c = term
+        self[term] = relabelled = ((s, (self.image[a], self.image[b])), c)
+        return relabelled
+
+
+# kind -> (transform of a plain relation, Relation.kind of S and of R relations, label suffix)
+_KINDS = {
+    "classical": (dict, "symplectic", "pluecker", ""),
+    "degenerate": (degenerate_component, "symplectic_degenerate", "pluecker_degenerate",
+                   " (degenerate part)"),
+    "s-family": (s_deformed_relation, "s_family", "s_family", " (s-family)"),
+}
+
+
 def generate_ideal(n, kind):
     """Canonical deduplicated generating set, kind in {classical, degenerate, s-family}.
 
@@ -304,38 +373,27 @@ def generate_ideal(n, kind):
     to a global sign count once; representatives have positive leading
     coefficient, labelled by the first (L, J, t) that gives them.
 
-    The exchange relations are those of _exchange_patterns, relabelled onto
-    every row set U.  A classical first occurrence is already canonical.  A
-    degenerate part or s-deformation first given by some triple is also
-    given, up to sign, by the first triple of that triple's classical class,
-    so only classical first occurrences are transformed.
+    The exchange relations are those of _kind_patterns, relabelled onto
+    every row set U.  A degenerate part or s-deformation first given by some
+    triple is also given, up to sign, by the first triple of that triple's
+    classical class, so only the classical patterns are transformed, once per
+    pattern and cut pair (see _kind_patterns).  Every term of a relation over
+    U uses each row of U, so relations over different (p, q, U) never
+    coincide, and none is linear like a symplectic relation: only the
+    symplectic relations need a dedup across the whole set.
     """
-    if kind not in ("classical", "degenerate", "s-family"):
+    if kind not in _KINDS:
         raise ValueError(f"unknown kind: {kind!r}")
+    transform, s_kind, r_kind, suffix = _KINDS[kind]
     seen = set()
     out = []
-
-    def keep(base_kind, poly, label):
-        # label() is only built for a relation that survives dedup
-        if not poly:
-            return
-        suffix = ""
-        if kind == "degenerate":
-            poly = poly_frozen(degenerate_component(dict(poly)))
-            base_kind += "_degenerate"
-            suffix = " (degenerate part)"
-        elif kind == "s-family":
-            poly = poly_frozen(s_deformed_relation(dict(poly)))
-            base_kind = "s_family"
-            suffix = " (s-family)"
-        if poly not in seen:
-            seen.add(poly)
-            out.append(Relation(base_kind, label() + suffix, poly))
-
     for m in _all_minors(n):
         if not is_reverse_admissible(n, m):
-            keep("symplectic", poly_frozen(symplectic_relation(n, m)),
-                 lambda: f"S_{{({_index_str(n, computed_minor(n, m))})}}")
+            poly = poly_frozen(transform(symplectic_relation(n, m)))
+            if poly not in seen:
+                seen.add(poly)
+                label = f"S_{{({_index_str(n, computed_minor(n, m))})}}{suffix}"
+                out.append(Relation(s_kind, label, poly))
     rows = range(1, 2 * n + 1)
     names = {r: entry_str(n, r) for r in rows}
     indices = {}  # one tuple object per Pluecker index, shared by every relation
@@ -343,21 +401,21 @@ def generate_ideal(n, kind):
         for q_len in range(1, p_len + 1):
             # |L u J| = |L| would put J[:t] inside L for every t
             for size in range(p_len + 1, min(p_len + q_len, 2 * n) + 1):
-                patterns = _exchange_patterns(p_len, q_len, size)
-                variables = {var for *_, frozen in patterns for (_, vars_), _c in frozen
-                             for var in vars_}
+                variables = {var for *_, frozen in _exchange_patterns(p_len, q_len, size)
+                             for (_, vars_), _c in frozen for var in vars_}
                 for U in itertools.combinations(rows, size):
+                    cuts = (bisect_right(U, p_len), bisect_right(U, q_len))
                     phi = (None,) + U
                     image = {}
                     for var in variables:
                         index = tuple([phi[r] for r in var])
                         image[var] = indices.setdefault(index, index)
-
-                    def name(seq):
-                        return ",".join([names[phi[r]] for r in seq])
-
-                    for L, J, t, frozen in patterns:
-                        poly = tuple(((None, (image[a], image[b])), c) for (_, (a, b)), c in frozen)
-                        keep("pluecker", poly, lambda: f"R^{t}_{{({name(L)}),({name(J)})}}")
-    out.sort(key=lambda r: (min(len(J) for (_, vars_), _c in r.poly for J in vars_), r.poly))
+                    terms = _TermImage(image)
+                    for L, J, t, frozen in _kind_patterns(p_len, q_len, size, kind, cuts):
+                        label = (f"R^{t}_{{({','.join(map(names.__getitem__, image[L]))}),"
+                                 f"({','.join(map(names.__getitem__, image[J]))})}}{suffix}")
+                        out.append(Relation(r_kind, label, tuple(map(terms.__getitem__, frozen))))
+    # by least level, then polynomial: every term of a relation has the same
+    # levels, and its first variable is its lowest, so poly[0][0][1][0] has the least
+    out.sort(key=lambda r: (len(r.poly[0][0][1][0]), r.poly))
     return out

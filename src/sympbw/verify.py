@@ -27,7 +27,7 @@ from .liealg import (
     transpose,
     weyl_dimension,
 )
-from .pluecker import pbw_degree_index, poly_eval
+from .pluecker import pbw_degree_index
 from .relations import term_pbw_degree
 from .tableaux import enumerate_tableaux, tableau_weight
 
@@ -231,28 +231,51 @@ def sample_degenerate_point(n, seed):
     return point
 
 
+def _check_kinds(relations, ring, points, point_kind):
+    """Raise ValueError unless every relation is in ring and every point of point_kind."""
+    for rel in relations:
+        if rel.ring != ring:
+            raise ValueError(f"kind mismatch: {rel.ring} relation, expected {ring}")
+    for point in points:
+        if point.kind != point_kind:
+            raise ValueError(f"kind mismatch: {point.kind} point, expected {point_kind}")
+
+
 def check_vanishing(relations, points):
     """Evaluate every relation at every point; report nonzero values.
 
     Relation and point kinds must match ("s-family" relations carry a formal
-    variable and are checked by check_s_bridge instead).
+    variable and are checked by check_s_bridge instead).  With no points
+    nothing is checked, and the report fails rather than passing vacuously.
     """
+    if points:
+        kind = points[0].kind
+    else:  # the ring the points would have come from
+        kind = relations[0].ring if relations else None
+    if kind == "s":
+        raise ValueError("s-family relations are checked by check_s_bridge")
+    _check_kinds(relations, kind, points, kind)
     failures = []
     checked = 0
-    for point in points:
-        flat = point.flat()
-        for rel in relations:
-            if rel.ring != point.kind:
-                raise ValueError(
-                    f"kind mismatch: {rel.ring} relation at {point.kind} point"
-                )
-            value = poly_eval(dict(rel.poly), flat)
-            checked += 1
-            if value:
-                failures.append(
-                    {"relation": rel.label, "seed": point.seed, "value": str(value)}
-                )
-    return {"suite": f"{points[0].kind}-ideal" if points else "vanishing",
+    try:
+        for point in points:
+            flat = point.flat()
+            for rel in relations:
+                value = 0
+                for (_, vars_), coeff in rel.poly:
+                    for J in vars_:
+                        coeff *= flat[J]
+                    value += coeff
+                checked += 1
+                if value:
+                    failures.append(
+                        {"relation": rel.label, "seed": point.seed, "value": str(value)}
+                    )
+    except KeyError as exc:
+        raise ValueError(f"no value for variable X_{exc.args[0]}") from None
+    if not points:
+        failures.append({"error": "no points were sampled"})
+    return {"suite": f"{kind}-ideal" if kind else "vanishing",
             "checked": checked, "failures": failures, "ok": not failures}
 
 
@@ -261,29 +284,44 @@ def check_s_bridge(relations, points):
 
     For a classical point x, substituting y_J = s^(-deg J) * x_J into an
     s-graded relation must give the zero Laurent polynomial in s: the
-    coefficient of each power of s is summed exactly and must cancel.
+    coefficient of each power of s is summed exactly and must cancel.  A
+    generated s-relation puts every term on one power, minus its lowest
+    PBW degree, so its terms are summed directly; only a relation with
+    mixed powers is summed power by power.  With no points nothing is
+    checked, and the report fails.
     """
-    if any(point.kind != "classical" for point in points):
-        raise ValueError("the rescaling family starts from classical points")
-    exponents = []  # per relation, the power of s each term lands on
+    _check_kinds(relations, "s", points, "classical")
+    exponents = []  # per relation, its one power of s, or a tuple of each term's power
     for rel in relations:
-        if rel.ring != "s":
-            raise ValueError(f"expected s-family relations, got {rel.ring}")
-        exponents.append(tuple((key[0] or 0) - term_pbw_degree(key) for key, _ in rel.poly))
+        powers = tuple((key[0] or 0) - term_pbw_degree(key) for key, _ in rel.poly)
+        exponents.append(powers[0] if len(set(powers)) == 1 else powers)
     failures = []
     checked = 0
-    for point in points:
-        flat = point.flat()
-        for rel, rel_exponents in zip(relations, exponents):
-            buckets = {}
-            for ((_, vars_), val), exponent in zip(rel.poly, rel_exponents):
-                for J in vars_:
-                    val *= flat[J]
-                buckets[exponent] = buckets.get(exponent, 0) + val
-            checked += 1
-            bad = {e: str(v) for e, v in buckets.items() if v}
-            if bad:
-                failures.append({"relation": rel.label, "seed": point.seed, "nonzero": bad})
+    try:
+        for point in points:
+            flat = point.flat()
+            for rel, power in zip(relations, exponents):
+                checked += 1
+                if isinstance(power, int):
+                    value = 0
+                    for (_, vars_), coeff in rel.poly:
+                        for J in vars_:
+                            coeff *= flat[J]
+                        value += coeff
+                    bad = {power: str(value)} if value else None
+                else:
+                    buckets = {}
+                    for ((_, vars_), coeff), exponent in zip(rel.poly, power):
+                        for J in vars_:
+                            coeff *= flat[J]
+                        buckets[exponent] = buckets.get(exponent, 0) + coeff
+                    bad = {e: str(v) for e, v in buckets.items() if v}
+                if bad:
+                    failures.append({"relation": rel.label, "seed": point.seed, "nonzero": bad})
+    except KeyError as exc:
+        raise ValueError(f"no value for variable X_{exc.args[0]}") from None
+    if not points:
+        failures.append({"error": "no points were sampled"})
     return {"suite": "s-family", "checked": checked, "failures": failures, "ok": not failures}
 
 

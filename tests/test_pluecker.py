@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from sympbw.pluecker import (
     pbw_fill,
     poly_add,
     poly_canonical,
-    poly_eval,
     poly_from_json,
     poly_frozen,
     poly_mul,
@@ -145,18 +143,6 @@ def test_poly_arithmetic():
 
 def test_poly_term_sorts_variables():
     assert poly_term(1, [(3,), (1, 2)]) == poly_term(1, [(1, 2), (3,)])
-
-
-def test_poly_eval():
-    p = poly_add(poly_term(1, [(1,), (2, 3)]), poly_term(-4, [(2,), (2, 3)]))
-    coords = {(1,): Fraction(3), (2,): Fraction(1, 2), (2, 3): Fraction(5)}
-    assert poly_eval(p, coords) == Fraction(5)
-    with pytest.raises(ValueError):
-        poly_eval(p, {(1,): Fraction(1)})
-    s_graded = {(1, ((1,),)): 1}
-    assert poly_eval(s_graded, {(1,): Fraction(2)}, s=Fraction(3)) == 6
-    with pytest.raises(ValueError):
-        poly_eval(s_graded, {(1,): Fraction(2)})
 
 
 def test_poly_canonical_and_frozen():

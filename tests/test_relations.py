@@ -15,6 +15,7 @@ from sympbw.pluecker import (
 from sympbw.relations import (
     Relation,
     _index_str,
+    _kind_patterns,
     degenerate_component,
     exchange_relation,
     generate_ideal,
@@ -274,7 +275,7 @@ def test_generate_ideal_matches_naive_oracle(n, kind):
 
 def _relabel(poly, phi):
     """Apply the row map phi to every row of every term."""
-    return {(s_deg, tuple(tuple(phi[r] for r in var) for var in vars_)): c
+    return {(s_deg, tuple(tuple(map(phi.__getitem__, var)) for var in vars_)): c
             for (s_deg, vars_), c in poly.items()}
 
 
@@ -358,3 +359,81 @@ def _per_triple_ideal(n, kind):
 @pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
 def test_generate_ideal_matches_per_triple_loop_n4(kind):
     assert generate_ideal(4, kind) == _per_triple_ideal(4, kind)
+
+
+TRANSFORMS = {"classical": dict, "degenerate": degenerate_component,
+              "s-family": s_deformed_relation}
+
+
+def _covering_triples(U, p, q):
+    """(L, J, t, relation) with |L| = p, |J| = q, L u J = U and J[:t] not
+    inside L, in (L, J, t) order."""
+    for L in itertools.combinations(U, p):
+        rest = tuple(r for r in U if r not in L)
+        if len(rest) > q:
+            continue
+        for J in sorted(tuple(sorted(rest + S)) for S in itertools.combinations(L, q - len(rest))):
+            for t in range(1, q + 1):
+                if not set(L).issuperset(J[:t]):
+                    yield L, J, t, exchange_relation(L, J, t)
+
+
+def _first_transformed(triples, kind):
+    """Each nonzero relation transformed and frozen, first occurrences only."""
+    seen, out = set(), []
+    for L, J, t, poly in triples:
+        if poly and (frozen := poly_frozen(TRANSFORMS[kind](poly))) not in seen:
+            seen.add(frozen)
+            out.append((L, J, t, frozen))
+    return out
+
+
+def _relabelled_kind_patterns(U, p, q, kind):
+    cuts = (sum(r <= p for r in U), sum(r <= q for r in U))
+    phi = (None,) + tuple(U)
+    return [(tuple(phi[r] for r in L), tuple(phi[r] for r in J), t,
+             tuple(_relabel(dict(frozen), phi).items()))
+            for L, J, t, frozen in _kind_patterns(p, q, len(U), kind, cuts)]
+
+
+def test_kind_patterns_depend_only_on_the_cuts():
+    # The cut lemma: over a row set U, only (|U & 1..p|, |U & 1..q|) decides
+    # which pattern rows land above their level.  So for every cut pair, the
+    # transformed patterns relabelled onto U are the first occurrences among
+    # the transformed relabelled exchange relations of every triple over U.
+    # Relations equal up to sign transform to relations equal up to sign, so
+    # only the first triple of each classical class can be a first occurrence.
+    rng = random.Random(12)
+    cut_pairs = 0
+    for p in range(1, 8):
+        for q in range(1, p + 1):
+            for m in range(p + 1, min(p + q, 8) + 1):
+                triples = [(L, J, t, dict(frozen)) for L, J, t, frozen in _first_transformed(
+                    _covering_triples(range(1, m + 1), p, q), "classical")]
+                by_cuts = {}
+                for U in itertools.combinations(range(1, m + p + 1), m):
+                    by_cuts.setdefault((sum(r <= p for r in U), sum(r <= q for r in U)),
+                                       []).append(U)
+                cut_pairs += len(by_cuts)
+                variables = {var for *_, poly in triples for _, vars_ in poly for var in vars_}
+                for cuts, sets in sorted(by_cuts.items()):
+                    U = rng.choice(sets)
+                    image = {var: tuple(U[r - 1] for r in var) for var in variables}
+                    relabelled = [(image[L], image[J], t,
+                                   {(None, (image[a], image[b])): c for (_, (a, b)), c in poly.items()})
+                                  for L, J, t, poly in triples]
+                    for kind in ("degenerate", "s-family"):
+                        assert (_relabelled_kind_patterns(U, p, q, kind)
+                                == _first_transformed(relabelled, kind)), (U, p, q, kind)
+    assert cut_pairs == 484
+
+
+@pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
+def test_kind_patterns_match_per_triple_loop_n5(kind):
+    rng = random.Random(13)
+    for p in range(1, 6):
+        for q in range(1, p + 1):
+            for m in range(p + 1, min(p + q, 10) + 1):
+                for U in (tuple(sorted(rng.sample(range(1, 11), m))) for _ in range(2)):
+                    assert (_relabelled_kind_patterns(U, p, q, kind)
+                            == _first_transformed(_covering_triples(U, p, q), kind)), (U, p, q)

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -7,8 +8,8 @@ import jsonschema
 import pytest
 
 from sympbw.liealg import Root, symplectic_form
-from sympbw.pluecker import poly_add, poly_eval
-from sympbw.relations import generate_ideal, poly_term, term_pbw_degree
+from sympbw.pluecker import poly_add, poly_frozen
+from sympbw.relations import Relation, generate_ideal, poly_term, term_pbw_degree
 from sympbw.verify import (
     check_counts,
     check_isotropy_projection,
@@ -26,6 +27,42 @@ from test_liealg import DIMENSIONS
 def load_schema(name):
     text = resources.files("sympbw.schemas").joinpath(name).read_text()
     return json.loads(text)
+
+
+def poly_eval(p, coords, s=None):
+    """Reference evaluation of a polynomial dict: coords maps index tuples
+    to exact numbers, s is the value of the deformation parameter.
+
+    Integer coordinates and s give an int; a Fraction among them keeps the
+    value an exact Fraction.
+    """
+    if s is not None and not isinstance(s, int):
+        s = Fraction(s)
+    total = 0
+    for (s_deg, vars_), coeff in p.items():
+        val = coeff
+        if s_deg is not None:
+            if s is None:
+                raise ValueError("s-graded polynomial needs an s value")
+            val *= s**s_deg
+        for J in vars_:
+            if J not in coords:
+                raise ValueError(f"no value for variable X_{J}")
+            val *= coords[J]
+        total += val
+    return total
+
+
+def test_poly_eval():
+    p = poly_add(poly_term(1, [(1,), (2, 3)]), poly_term(-4, [(2,), (2, 3)]))
+    coords = {(1,): Fraction(3), (2,): Fraction(1, 2), (2, 3): Fraction(5)}
+    assert poly_eval(p, coords) == Fraction(5)
+    with pytest.raises(ValueError):
+        poly_eval(p, {(1,): Fraction(1)})
+    s_graded = {(1, ((1,),)): 1}
+    assert poly_eval(s_graded, {(1,): Fraction(2)}, s=Fraction(3)) == 6
+    with pytest.raises(ValueError):
+        poly_eval(s_graded, {(1,): Fraction(2)})
 
 
 def test_degenerate_operator_golden():
@@ -79,9 +116,6 @@ def test_vanishing_reports():
 
 
 def test_vanishing_detects_failure():
-    from sympbw.relations import Relation
-    from sympbw.pluecker import poly_frozen
-
     bad = Relation("pluecker", "bad", poly_frozen(poly_term(1, [(1,), (1, 2)])))
     report = check_vanishing([bad], [sample_classical_flag(2, 0)])
     assert not report["ok"] and len(report["failures"]) == 1
@@ -181,6 +215,121 @@ def test_s_bridge_catches_bumped_coefficients():
     report = check_s_bridge(bumped, points)
     assert len(expected) > 2 and report["failures"] == expected and not report["ok"]
     assert report["checked"] == len(relations) * len(points)
+
+
+def _perturb_every_relation(relations, seed):
+    """Each relation with one seeded coefficient moved by a seeded nonzero amount."""
+    rng = random.Random(seed)
+    out = []
+    for rel in relations:
+        terms = list(rel.poly)
+        i = rng.randrange(len(terms))
+        key, coeff = terms[i]
+        terms[i] = (key, coeff + rng.choice([-2, -1, 1, 2]))
+        out.append(replace(rel, poly=tuple(terms)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["classical", "degenerate"])
+def test_vanishing_reports_what_the_oracle_evaluates(kind):
+    sample = sample_classical_flag if kind == "classical" else sample_degenerate_point
+    points = [sample(3, seed) for seed in range(3)]
+    perturbed = _perturb_every_relation(generate_ideal(3, kind), seed=5)
+    expected = [
+        {"relation": rel.label, "seed": point.seed, "value": str(value)}
+        for point in points
+        for rel in perturbed
+        if (value := poly_eval(dict(rel.poly), point.flat()))
+    ]
+    report = check_vanishing(perturbed, points)
+    assert len(expected) > len(perturbed) and report["failures"] == expected
+    assert report["checked"] == len(perturbed) * len(points) and not report["ok"]
+
+
+def _s_buckets(poly, flat):
+    """Coefficient of each power of s after y_J = s^(-deg J) x_J, term by term."""
+    buckets = {}
+    for (s_deg, vars_), coeff in poly:
+        exponent = s_deg - term_pbw_degree((s_deg, vars_))
+        value = poly_eval({(None, vars_): coeff}, flat)
+        buckets[exponent] = buckets.get(exponent, 0) + value
+    return {e: str(v) for e, v in buckets.items() if v}
+
+
+def test_s_bridge_reports_what_the_oracle_evaluates():
+    points = [sample_classical_flag(3, seed) for seed in range(3)]
+    perturbed = _perturb_every_relation(generate_ideal(3, "s-family"), seed=6)
+    s = Fraction(1, 3)
+    expected = []
+    for point in points:
+        flat = point.flat()
+        rescaled = {J: x * s ** -term_pbw_degree((None, (J,))) for J, x in flat.items()}
+        for rel in perturbed:
+            nonzero = _s_buckets(rel.poly, flat)
+            if nonzero:
+                # one power of s per generated relation: the value at s = 1/3 is its bucket
+                (exponent, bucket), = nonzero.items()
+                assert poly_eval(dict(rel.poly), rescaled, s) == int(bucket) * s**exponent
+                expected.append({"relation": rel.label, "seed": point.seed, "nonzero": nonzero})
+    report = check_s_bridge(perturbed, points)
+    assert len(expected) > len(perturbed) and report["failures"] == expected
+    assert report["checked"] == len(perturbed) * len(points) and not report["ok"]
+
+
+def test_s_bridge_sums_mixed_powers_separately():
+    points = [sample_classical_flag(2, seed) for seed in range(3)]
+    # R^1_{(1,2),(2bar)} with every term at s^0: its terms land on s^-1 and s^-2,
+    # and each power fails on its own although the relation vanishes at s = 1
+    plain = Relation("s_family", "plain", poly_frozen({
+        (0, ((1,), (2, 3))): 1, (0, ((2,), (1, 3))): -1, (0, ((3,), (1, 2))): 1}))
+    # two generated s-relations on different powers, added: every power cancels
+    first, other = generate_ideal(2, "s-family")[0:3:2]
+    powers = [{key[0] - term_pbw_degree(key) for key, _ in rel.poly} for rel in (first, other)]
+    assert powers == [{-1}, {-2}]
+    summed = Relation("s_family", "summed", poly_frozen(dict(first.poly + other.poly)))
+    assert len(summed.poly) == len(first.poly) + len(other.poly)
+    report = check_s_bridge([plain, summed], points)
+    expected = [{"relation": "plain", "seed": point.seed,
+                 "nonzero": _s_buckets(plain.poly, point.flat())} for point in points]
+    assert all(len(failure["nonzero"]) == 2 for failure in expected)
+    assert report["failures"] == expected and report["checked"] == 6
+
+
+def test_checks_refuse_a_variable_the_point_lacks():
+    point = sample_classical_flag(2, 0)
+    too_high = ((1, 2, 3),)  # level 3 does not exist at n = 2
+    with pytest.raises(ValueError, match="no value for variable"):
+        check_vanishing([Relation("pluecker", "r", (((None, too_high), 1),))], [point])
+    with pytest.raises(ValueError, match="no value for variable"):
+        check_s_bridge([Relation("s_family", "r", (((0, too_high), 1),))], [point])
+
+
+def test_checks_refuse_mismatched_kinds():
+    classical, degenerate = sample_classical_flag(2, 0), sample_degenerate_point(2, 0)
+    s_family = generate_ideal(2, "s-family")
+    with pytest.raises(ValueError):
+        check_vanishing(s_family, [classical])
+    with pytest.raises(ValueError):
+        check_vanishing(s_family, [])
+    with pytest.raises(ValueError):  # one point of each kind
+        check_vanishing(generate_ideal(2, "classical"), [classical, degenerate])
+    with pytest.raises(ValueError):
+        check_s_bridge(generate_ideal(2, "degenerate"), [classical])
+    with pytest.raises(ValueError):
+        check_s_bridge(s_family, [classical, degenerate])
+
+
+@pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
+def test_no_points_is_a_failure_not_a_pass(kind):
+    relations = generate_ideal(2, kind)
+    if kind == "s-family":
+        report = check_s_bridge(relations, [])
+    else:
+        report = check_vanishing(relations, [])
+    assert report["suite"] == ("s-family" if kind == "s-family" else f"{kind}-ideal")
+    assert report["checked"] == 0 and not report["ok"]
+    assert report["failures"] == [{"error": "no points were sampled"}]
+    jsonschema.validate(report, load_schema("verifyreport.schema.json"))
 
 
 def test_flagpoint_schema():
