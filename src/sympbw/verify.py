@@ -241,6 +241,16 @@ def _check_kinds(relations, ring, points, point_kind):
             raise ValueError(f"kind mismatch: {point.kind} point, expected {point_kind}")
 
 
+def _evaluate(terms, flat):
+    """The sum of frozen terms at the values flat; KeyError for a missing variable."""
+    value = 0
+    for (_, vars_), coeff in terms:
+        for J in vars_:
+            coeff *= flat[J]
+        value += coeff
+    return value
+
+
 def check_vanishing(relations, points):
     """Evaluate every relation at every point; report nonzero values.
 
@@ -261,11 +271,7 @@ def check_vanishing(relations, points):
         for point in points:
             flat = point.flat()
             for rel in relations:
-                value = 0
-                for (_, vars_), coeff in rel.poly:
-                    for J in vars_:
-                        coeff *= flat[J]
-                    value += coeff
+                value = _evaluate(rel.poly, flat)
                 checked += 1
                 if value:
                     failures.append(
@@ -284,45 +290,33 @@ def check_s_bridge(relations, points):
 
     For a classical point x, substituting y_J = s^(-deg J) * x_J into an
     s-graded relation must give the zero Laurent polynomial in s: the
-    coefficient of each power of s is summed exactly and must cancel.  A
-    generated s-relation puts every term on one power, minus its lowest
-    PBW degree, so its terms are summed directly; only a relation with
-    mixed powers is summed power by power.  With no points nothing is
-    checked, and the report fails.
+    coefficient of each power of s is summed exactly and must cancel.  Each
+    relation's terms are grouped by power of s once (a generated s-relation
+    has one group, minus its lowest PBW degree), and each group is summed at
+    every point.  Failures are listed point by point.  With no points
+    nothing is checked, and the report fails.
     """
     _check_kinds(relations, "s", points, "classical")
-    exponents = []  # per relation, its one power of s, or a tuple of each term's power
-    for rel in relations:
-        powers = tuple((key[0] or 0) - term_pbw_degree(key) for key, _ in rel.poly)
-        exponents.append(powers[0] if len(set(powers)) == 1 else powers)
-    failures = []
-    checked = 0
+    flats = [point.flat() for point in points]
+    found = [[] for _ in points]  # the failures at each point
     try:
-        for point in points:
-            flat = point.flat()
-            for rel, power in zip(relations, exponents):
-                checked += 1
-                if isinstance(power, int):
-                    value = 0
-                    for (_, vars_), coeff in rel.poly:
-                        for J in vars_:
-                            coeff *= flat[J]
-                        value += coeff
-                    bad = {power: str(value)} if value else None
-                else:
-                    buckets = {}
-                    for ((_, vars_), coeff), exponent in zip(rel.poly, power):
-                        for J in vars_:
-                            coeff *= flat[J]
-                        buckets[exponent] = buckets.get(exponent, 0) + coeff
-                    bad = {e: str(v) for e, v in buckets.items() if v}
+        for rel in relations:
+            groups = {}
+            for term in rel.poly:
+                key = term[0]
+                groups.setdefault((key[0] or 0) - term_pbw_degree(key), []).append(term)
+            for point, flat, at_point in zip(points, flats, found):
+                bad = {power: str(value) for power, terms in groups.items()
+                       if (value := _evaluate(terms, flat))}
                 if bad:
-                    failures.append({"relation": rel.label, "seed": point.seed, "nonzero": bad})
+                    at_point.append({"relation": rel.label, "seed": point.seed, "nonzero": bad})
     except KeyError as exc:
         raise ValueError(f"no value for variable X_{exc.args[0]}") from None
+    failures = [failure for at_point in found for failure in at_point]
     if not points:
         failures.append({"error": "no points were sampled"})
-    return {"suite": "s-family", "checked": checked, "failures": failures, "ok": not failures}
+    return {"suite": "s-family", "checked": len(relations) * len(points),
+            "failures": failures, "ok": not failures}
 
 
 def _projection_13(n, k, vector):

@@ -275,7 +275,7 @@ def test_generate_ideal_matches_naive_oracle(n, kind):
 
 def _relabel(poly, phi):
     """Apply the row map phi to every row of every term."""
-    return {(s_deg, tuple(tuple(map(phi.__getitem__, var)) for var in vars_)): c
+    return {(s_deg, tuple(tuple(phi[r] for r in var) for var in vars_)): c
             for (s_deg, vars_), c in poly.items()}
 
 
