@@ -3,6 +3,9 @@
 Verbs: roots, dyck, polytope, tableaux, to-tableau, to-monomial, relations,
 straighten, verify.  Output is plain text by default and JSON with
 ``--format json``; all output is deterministic for fixed flags and seed.
+A JSON answer is byte-identical to ``json.dumps(answer, indent=2)`` (2-space
+indent, non-ASCII as ``\\u`` escapes, keys in build order), streamed to the
+output in pieces; an error is one compact JSON line on stderr.
 Exit codes: 0 success, 1 domain error or failed verification (machine-readable
 JSON on stderr) or a reader that closed stdout early, 2 usage error.
 """
@@ -11,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .fflv import dyck_paths, fflv_inequalities, lattice_points, multiexp_from_json, multiexp_to_json
 from .liealg import bar, positive_roots
@@ -84,17 +88,99 @@ def _monomial_str(n, p, ascii_only):
     return " ".join(pieces)
 
 
+_FLUSH_PIECES = 4096
+
+
+def _json_scalar(value):
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)  # a float, or the TypeError json raises for any other type
+
+
+def _json_key(key):
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{_json_scalar(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(obj, write):
+    """Write ``obj`` through ``write`` exactly as ``json.dumps(obj, indent=2)`` renders it.
+
+    ``json`` indents only in its pure-Python encoder, so the containers are
+    laid out here and every scalar goes through the C helpers ``json`` uses.
+    A list of plain ints is joined once per (items, indent), since tableau
+    shapes and columns recur thousands of times in one answer.  Pieces go to
+    ``write`` every few thousand, so memory follows the answer, not its text.
+    """
+    pieces = []
+    append = pieces.append
+    int_lists = {}
+
+    def emit(o, indent):  # indent: a newline and the spaces of o's depth
+        if not isinstance(o, (dict, list, tuple)):
+            append(_json_scalar(o))
+            return
+        if not o:
+            append("{}" if isinstance(o, dict) else "[]")
+            return
+        inner = indent + "  "
+        if isinstance(o, dict):
+            sep = "{"
+            for k, v in o.items():
+                head = sep + inner + _json_key(k) + ": "
+                if isinstance(v, (dict, list, tuple)):
+                    append(head)
+                    emit(v, inner)
+                else:
+                    append(head + _json_scalar(v))
+                sep = ","
+            append(indent + "}")
+        else:
+            for x in o:
+                if type(x) is not int:
+                    break
+            else:  # plain ints only: True and 1.0 equal 1 but must not share its entry
+                key = (tuple(o), indent)
+                text = int_lists.get(key)
+                if text is None:
+                    items = ("," + inner).join(map(int.__repr__, o))
+                    text = int_lists[key] = f"[{inner}{items}{indent}]"
+                append(text)
+                return
+            sep = "["
+            for x in o:
+                if isinstance(x, (dict, list, tuple)):
+                    append(sep + inner)
+                    emit(x, inner)
+                else:
+                    append(sep + inner + _json_scalar(x))
+                sep = ","
+            append(indent + "]")
+        if len(pieces) >= _FLUSH_PIECES:
+            write("".join(pieces))
+            pieces.clear()
+
+    emit(obj, "\n")
+    write("".join(pieces))
+
+
 def _cmd_roots(args):
     roots = positive_roots(args.n)
     if args.format == "json":
-        return json.dumps([a.to_dict() for a in roots], indent=2), 0
+        return [a.to_dict() for a in roots], 0
     return "\n".join(_root_str(args.n, a, args.ascii) for a in roots), 0
 
 
 def _cmd_dyck(args):
     paths = dyck_paths(args.n)
     if args.format == "json":
-        return json.dumps([[a.to_dict() for a in p] for p in paths], indent=2), 0
+        return [[a.to_dict() for a in p] for p in paths], 0
     lines = [" -> ".join(_root_str(args.n, a, args.ascii) for a in p) for p in paths]
     lines.append(f"{len(paths)} paths")
     return "\n".join(lines), 0
@@ -105,8 +191,7 @@ def _cmd_polytope(args):
     ineqs = fflv_inequalities(args.n, lam)
     count = len(lattice_points(args.n, lam))
     if args.format == "json":
-        out = {"inequalities": [q.to_dict() for q in ineqs], "lattice_point_count": count}
-        return json.dumps(out, indent=2), 0
+        return {"inequalities": [q.to_dict() for q in ineqs], "lattice_point_count": count}, 0
     lines = []
     for q in ineqs:
         lhs = " + ".join(
@@ -121,8 +206,7 @@ def _cmd_tableaux(args):
     lam = _parse_lambda(args.lam, args.n)
     tabs = enumerate_tableaux(args.n, lam)
     if args.format == "json":
-        out = {"count": len(tabs), "tableaux": [tableau_to_json(args.n, t) for t in tabs]}
-        return json.dumps(out, indent=2), 0
+        return {"count": len(tabs), "tableaux": [tableau_to_json(args.n, t) for t in tabs]}, 0
     blocks = [tableau_pretty(args.n, t, args.ascii) for t in tabs]
     return f"{len(tabs)} tableaux\n\n" + "\n\n".join(blocks), 0
 
@@ -132,7 +216,7 @@ def _cmd_to_tableau(args):
     p = multiexp_from_json(args.n, _load_json_arg(args.monomial))
     tab = monomial_to_tableau(args.n, lam, p)
     if args.format == "json":
-        return json.dumps(tableau_to_json(args.n, tab), indent=2), 0
+        return tableau_to_json(args.n, tab), 0
     return tableau_pretty(args.n, tab, args.ascii), 0
 
 
@@ -140,42 +224,50 @@ def _cmd_to_monomial(args):
     tab = tableau_from_json(args.n, _load_json_arg(args.tableau))
     lam, p = tableau_to_monomial(args.n, tab)
     if args.format == "json":
-        out = {"lambda": list(lam), "monomial": multiexp_to_json(args.n, p)}
-        return json.dumps(out, indent=2), 0
+        return {"lambda": list(lam), "monomial": multiexp_to_json(args.n, p)}, 0
     return f"lambda = {','.join(map(str, lam))}\n{_monomial_str(args.n, p, args.ascii)}", 0
 
 
 def _cmd_relations(args):
     rels = generate_ideal(args.n, args.kind)
     if args.format == "json":
-        out = [
+        return [
             {"kind": r.kind, "label": r.label, "poly": poly_to_json(dict(r.poly))}
             for r in rels
-        ]
-        return json.dumps(out, indent=2), 0
+        ], 0
     lines = [f"{r.label}: {relation_text(args.n, r, args.ascii)}" for r in rels]
     lines.append(f"{len(rels)} relations")
     return "\n".join(lines), 0
 
 
+def _parse_columns(value):
+    """``--columns '1,4;3'`` as ((1, 4), (3,))."""
+    monomial = []
+    for col in value.split(";"):
+        try:
+            monomial.append(tuple(int(x) for x in col.split(",")))
+        except ValueError:
+            raise ValueError(
+                f"--columns takes ';'-separated columns of ','-separated integers, got the column {col!r}"
+            ) from None
+    return tuple(monomial)
+
+
 def _cmd_straighten(args):
-    monomial = tuple(
-        tuple(int(x) for x in col.split(",")) for col in args.columns.split(";")
-    )
+    monomial = _parse_columns(args.columns)
     # each trace line goes out as it comes, so a failing call still shows its steps
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     result = straighten(args.n, monomial, args.ring, trace=trace)
     items = sorted(result.items())
     if args.format == "json":
-        out = {
+        return {
             "input": [list(col) for col in monomial],
             "ring": args.ring,
             "result": [
                 {"coefficient": c, "tableau": tableau_to_json(args.n, tab)}
                 for tab, c in items
             ],
-        }
-        return json.dumps(out, indent=2), 0
+        }, 0
     if not items:
         return "0", 0
     lines = []
@@ -222,7 +314,7 @@ def _cmd_verify(args):
     report["n"] = n
     code = 0 if report["ok"] else 1
     if args.report == "json" or args.format == "json":
-        return json.dumps(report, indent=2), code
+        return report, code
     status = "PASS" if report["ok"] else "FAIL"
     lines = [f"{status} suite={args.suite} n={n} checked={report['checked']}"]
     for failure in report["failures"]:
@@ -305,22 +397,31 @@ _COMMANDS = {
 }
 
 
+def _write_answer(answer, write):
+    """Write a text answer as it is and any other through ``_write_json``, then a newline."""
+    if isinstance(answer, str):
+        write(answer)
+    else:
+        _write_json(answer, write)
+    write("\n")
+
+
 def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:
-        output, code = _COMMANDS[args.verb](args)
+        answer, code = _COMMANDS[args.verb](args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output + "\n")
+                _write_answer(answer, fh.write)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     if not args.out:
         try:
-            print(output)
+            _write_answer(answer, sys.stdout.write)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader closed early (``| head``): send what is still

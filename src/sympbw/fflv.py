@@ -193,10 +193,16 @@ def multiexp_to_json(n, p):
 
 
 def multiexp_from_json(n, data):
+    """Parse a list of ``{"root": root, "exp": int}``; any other shape raises ValueError."""
+    shape = 'a multi-exponent is a list of {"root": {"i": int, "j": int, "barred": bool}, "exp": int}'
+    if not isinstance(data, list):
+        raise ValueError(f"{shape}, got {type(data).__name__}")
     p = {}
     for item in data:
-        alpha = root_from_dict(n, item["root"])
-        exp = int(item["exp"])
+        try:
+            alpha, exp = root_from_dict(n, item["root"]), int(item["exp"])
+        except (TypeError, KeyError):
+            raise ValueError(f"{shape}, got the item {item!r}") from None
         if exp < 0:
             raise ValueError("exponents must be nonnegative")
         if exp:

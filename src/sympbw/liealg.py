@@ -48,7 +48,12 @@ def make_root(n, i, j, barred=False):
 
 
 def root_from_dict(n, data):
-    return make_root(n, int(data["i"]), int(data["j"]), bool(data["barred"]))
+    """Parse ``{"i": int, "j": int, "barred": bool}``; any other shape raises ValueError."""
+    try:
+        i, j, barred = int(data["i"]), int(data["j"]), bool(data["barred"])
+    except (TypeError, KeyError, ValueError):
+        raise ValueError(f'a root is {{"i": int, "j": int, "barred": bool}}, got {data!r}') from None
+    return make_root(n, i, j, barred)
 
 
 def jpos(alpha, n):

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +11,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sympbw.cli import main
+from sympbw.cli import _write_json, main
+from sympbw.liealg import Root
 
 
 def run(capsys, *argv):
@@ -306,18 +309,147 @@ def test_parser_reuse_keeps_no_state(capsys):
     assert run(capsys, "roots", "--n", "2", "--ascii") == alone
 
 
-def test_reader_closing_stdout_early_exits_1_without_traceback():
-    # `sympbw tableaux ... | head -1`: about 100 kB of output, more than a
-    # pipe buffers, so the write meets the closed end whatever the timing
+def _close_after_first_line(*extra):
+    """First stdout line, exit code and stderr of ``sympbw tableaux ... | head -1``."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "sympbw.cli", "tableaux", "--n", "6", "--lambda", "1,0,0,0,0,1"],
+        [sys.executable, "-m", "sympbw.cli", "tableaux", "--n", "6", "--lambda", "1,0,0,0,0,1",
+         *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert proc.stdout.readline() == b"4576 tableaux\n"
+    first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert err == b""
+    return first, proc.wait(timeout=60), err
+
+
+def test_reader_closing_stdout_early_exits_1_without_traceback():
+    # about 100 kB of output, more than a pipe buffers, so the write meets
+    # the closed end whatever the timing
+    assert _close_after_first_line() == (b"4576 tableaux\n", 1, b"")
+
+
+def test_reader_closing_stdout_during_a_streamed_json_answer():
+    # 1.2 MB of JSON, written in many pieces: a later piece meets the closed end
+    assert _close_after_first_line("--format", "json") == (b"{\n", 1, b"")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("to-tableau", "--lambda", "1,0", "--monomial", "[1]"), "a multi-exponent is a list of"),
+    (("to-tableau", "--lambda", "1,0", "--monomial", '{"a": 1}'), "a multi-exponent is a list of"),
+    (("to-tableau", "--lambda", "1,0", "--monomial", '[{"root": {"i": 1}, "exp": 1}]'),
+     "a root is"),
+    (("to-monomial", "--tableau", "[1]"), "a tableau is"),
+    (("to-monomial", "--tableau", "{}"), "a tableau is"),
+    (("straighten", "--ring", "classical", "--columns", "1,2;"), "got the column ''"),
+])
+def test_malformed_input_shape_is_a_json_error(capsys, argv, expected):
+    code, out, err = run(capsys, argv[0], "--n", "2", *argv[1:])
+    assert code == 1 and out == ""
+    assert expected in json.loads(err)["error"]
+
+
+def _written(obj):
+    pieces = []
+    _write_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+def _random_value(rng, depth=0):
+    if depth > 4 or rng.random() < 0.4:
+        return rng.choice([
+            lambda: rng.randint(-2**70, 2**70),
+            lambda: rng.randint(-3, 3),
+            lambda: rng.choice([True, False, None, math.nan, math.inf, -math.inf, -0.0]),
+            lambda: rng.uniform(-1e6, 1e6),
+            lambda: "".join(chr(rng.choice([rng.randrange(0x80), rng.randrange(0x80, 0x110000),
+                                            0x305, 0x22, 0x5C]))
+                            for _ in range(rng.randrange(6))),
+        ])()
+    kind = rng.randrange(4)
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 0:
+        return [rng.randint(-2, 3) for _ in items]
+    if kind == 1:
+        return tuple(items)
+    if kind == 2:
+        return items
+    keys = [str(rng.randrange(9)), rng.randint(-5, 5), rng.choice([True, False, None]),
+            rng.uniform(-9, 9), 'ā"\\\n']
+    return {rng.choice(keys): item for item in items}
+
+
+WRITER_CASES = [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [[]]],
+    (1, (2, (3,))),
+    Root(1, 2, True), [Root(1, 1), Root(2, 3, True)],
+    ["ā", "1̅", '"', "\\", "\x00\x1f\n\t\x7f", "\u2028", "😀"],
+    [-5, 0, 2**64, 2**64 + 1, -(2**70)],
+    {"t": True, "f": False, "n": None},
+    {True: 1, False: 2, None: 3, 7: 4, -1: 5, 2.5: 6, math.inf: 7, -math.inf: 8, math.nan: 9},
+    [0.1, -0.0, 1e300, 1e-300, math.nan, math.inf, -math.inf],
+    {"nonzero": {0: 3, 2: -1}},
+    [[1, 1], [True, 1], [1.0, 1], [1, True], (1, 1)],
+    {"a": [1, 2], "b": [[1, 2], {"c": [1, 2], "d": [[1, 2]]}], "e": [1, 2]},
+]
+
+
+def test_write_json_matches_json_dumps():
+    nested = [1, 2]
+    for _ in range(150):
+        nested = [nested, {"k": nested}] if len(str(nested)) < 4000 else [nested]
+    cases = WRITER_CASES + [nested, "plain", 3, None]
+    cases += [_random_value(random.Random(seed)) for seed in range(400)]
+    for obj in cases:
+        assert _written(obj) == json.dumps(obj, indent=2), obj
+
+
+JSON_CALLS = [
+    ("roots",), ("dyck",), ("relations", "--kind", "classical"),
+    ("relations", "--kind", "degenerate"), ("relations", "--kind", "s-family"),
+    ("polytope", "--lambda", "LAM"), ("tableaux", "--lambda", "LAM"),
+    ("verify", "--suite", "counts", "--lambda", "LAM"),
+    ("verify", "--suite", "roundtrip", "--lambda", "LAM"),
+    ("verify", "--suite", "classical-ideal", "--seeds", "2"),
+    ("verify", "--suite", "degenerate-ideal", "--seeds", "2"),
+    ("verify", "--suite", "s-family", "--seeds", "2"),
+    ("to-tableau", "--lambda", "LAM", "--monomial",
+     '[{"root": {"i": 1, "j": 1, "barred": false}, "exp": 1}]'),
+    ("to-monomial", "--tableau", '{"columns": [[1, 2], [1]]}'),
+    ("straighten", "--ring", "classical", "--columns", "1,3;2,4"),
+    ("straighten", "--ring", "degenerate", "--columns", "1,3;2,4"),
+]
+
+
+@pytest.mark.parametrize("n, lam", [(2, "1,1"), (3, "1,0,1")])
+@pytest.mark.parametrize("call", JSON_CALLS, ids=" ".join)
+def test_json_answers_are_indented_json(capsys, tmp_path, n, lam, call):
+    call = tuple(lam if arg == "LAM" else arg for arg in call)
+    fmt = ("--report", "json") if call[0] == "verify" else ("--format", "json")
+    code, out, err = run(capsys, call[0], "--n", str(n), *call[1:], *fmt)
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    path = tmp_path / "answer.json"
+    assert run(capsys, call[0], "--n", str(n), *call[1:], *fmt, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_large_json_answer_is_streamed(monkeypatch):
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+        def flush(self):
+            pass
+
+    recorder = Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(["tableaux", "--n", "6", "--lambda", "1,0,0,0,0,1", "--format", "json"]) == 0
+    text = "".join(recorder.writes)
+    assert len(text) > 10**6 and len(recorder.writes) > 2
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
