@@ -101,14 +101,6 @@ def _json_scalar(value):
     return json.dumps(value)  # a float, or the TypeError json raises for any other type
 
 
-def _json_key(key):
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:
-        return f'"{_json_scalar(key)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _write_json(obj, write):
     """Write ``obj`` through ``write`` exactly as ``json.dumps(obj, indent=2)`` renders it.
 
@@ -133,7 +125,8 @@ def _write_json(obj, write):
         if isinstance(o, dict):
             sep = "{"
             for k, v in o.items():
-                head = sep + inner + _json_key(k) + ": "
+                key = encode_basestring_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+                head = sep + inner + key + ": "
                 if isinstance(v, (dict, list, tuple)):
                     append(head)
                     emit(v, inner)

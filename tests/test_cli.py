@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -404,6 +405,11 @@ def test_write_json_matches_json_dumps():
     cases += [_random_value(random.Random(seed)) for seed in range(400)]
     for obj in cases:
         assert _written(obj) == json.dumps(obj, indent=2), obj
+    for obj in [{(1, 2): 0}, [{"a": {frozenset(): 0}}], [object()]]:
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            _written(obj)
 
 
 JSON_CALLS = [
