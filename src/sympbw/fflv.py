@@ -199,10 +199,9 @@ def multiexp_from_json(n, data):
         raise ValueError(f"{shape}, got {type(data).__name__}")
     p = {}
     for item in data:
-        try:
-            alpha, exp = root_from_dict(n, item["root"]), int(item["exp"])
-        except (TypeError, KeyError):
-            raise ValueError(f"{shape}, got the item {item!r}") from None
+        if not isinstance(item, dict) or "root" not in item or type(item.get("exp")) is not int:
+            raise ValueError(f"{shape}, got the item {item!r}")
+        alpha, exp = root_from_dict(n, item["root"]), item["exp"]
         if exp < 0:
             raise ValueError("exponents must be nonnegative")
         if exp:

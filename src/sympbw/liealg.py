@@ -49,11 +49,9 @@ def make_root(n, i, j, barred=False):
 
 def root_from_dict(n, data):
     """Parse ``{"i": int, "j": int, "barred": bool}``; any other shape raises ValueError."""
-    try:
-        i, j, barred = int(data["i"]), int(data["j"]), bool(data["barred"])
-    except (TypeError, KeyError, ValueError):
-        raise ValueError(f'a root is {{"i": int, "j": int, "barred": bool}}, got {data!r}') from None
-    return make_root(n, i, j, barred)
+    if not isinstance(data, dict) or [type(data.get(k)) for k in ("i", "j", "barred")] != [int, int, bool]:
+        raise ValueError(f'a root is {{"i": int, "j": int, "barred": bool}}, got {data!r}')
+    return make_root(n, data["i"], data["j"], data["barred"])
 
 
 def jpos(alpha, n):

@@ -16,18 +16,11 @@ semistandard tableau.  Two kinds of steps are used:
 Both descent claims are asserted on every step, and a step budget turns any
 unnoticed cycle into a hard error instead of a hang.
 
-A step is a function of (n, monomial, ring) alone: which column or pair it
-rewrites, the relation it uses, the monomials it produces and whether each
-of them descends are all read off the monomial, never off the work queue or
-the coefficient it carries.  Monomials come back to the queue many times in
-one call (the queue pops the largest key, not the next one in the descent
-order), so _s_step and _p_step are memoized and return the step's trace line
-together with its terms and their descent flags.  straighten still emits the
-line, then asserts each flag, then accumulates, step by step in the queue's
-order, so the trace and the first failing assert are those of the uncached
-rewriting.  A step that fails inside (a lost head term, a non-unit head)
-raises before anything is cached or emitted, as it did before.  Every cache
-is a bounded module-level lru_cache.
+The work queue pops the monomial whose minimal arrangement is largest in the
+tableau order, so each monomial is rewritten at most once per call as long as
+every term a step produces lies below it: P-steps assert that, and S-steps
+have kept it on every input tried.  A term that did not descend would only be
+rewritten again, at a cost in steps and within the step budget.
 """
 
 from functools import lru_cache
@@ -75,12 +68,14 @@ def minor_order_compare(l_seq, j_seq):
     return -1 if last > 0 else 1
 
 
-# Bound of every memo cache below; the caches live for the process, and each
-# holds at most this many entries.
+# Bound of the two caches below; they live for the process, and each holds
+# at most this many entries.
 _CACHE_SIZE = 1 << 16
 
+# Rewrite steps one call may take before it is taken for a cycle.
+_MAX_STEPS = 200000
 
-@lru_cache(maxsize=_CACHE_SIZE)
+
 def _validate_monomial(n, monomial):
     cols = []
     for J in monomial:
@@ -119,7 +114,14 @@ def _min_arrangement(n, mono):
     return arr, tuple(_column(n, J)[0] for J in arr)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+def _queue_key(n, mono):
+    """The minimal arrangement read as tableau_order_compare reads it, then
+    the monomial.  Within one call the shape is fixed and pbw_fill is
+    injective, so keys compare as their minimal arrangements do."""
+    cols = _min_arrangement(n, mono)[1]
+    return tuple(e for col in reversed(cols) for e in reversed(col)), mono
+
+
 def _is_straight(cols):
     """Whether the minimal arrangement's filled columns are semistandard.
 
@@ -149,41 +151,27 @@ def _split_head(poly, head_vars):
     return head, rest
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _column_relation(n, bad, ring):
-    """The symplectic relation of a non-symplectic column, in the ring.
+def _s_step(n, mono, ring, trace):
+    """Replace the first non-symplectic column via its symplectic relation.
 
-    Returns (head coeff, ((coeff, new column, descends), ...)) where
-    ``descends`` says whether the new column's minor comes strictly before
-    the replaced one's in the minor order.
+    Returns ((coeff, new monomial), ...); each new column's minor comes
+    strictly before the replaced one's in the minor order.
     """
+    bad = next(J for J in mono if not _column(n, J)[1])
     minor = column_to_minor(n, bad)
     relation = _relation_in_ring(symplectic_relation(n, minor), ring)
     head, rest = _split_head(relation, (bad,))
+    if trace:
+        trace(f"S-step on column {bad}: {len(rest)} replacement column(s)")
     src_seq = computed_minor(n, minor)
-    terms = []
-    for (_, (new_col,)), coeff in rest:
-        tgt_seq = computed_minor(n, column_to_minor(n, new_col))
-        terms.append((coeff, new_col, minor_order_compare(tgt_seq, src_seq) == -1))
-    return head, tuple(terms)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _s_step(n, mono, ring):
-    """Replace the first non-symplectic column via its symplectic relation.
-
-    Returns the trace line and ((coeff, new monomial, descends, assert
-    payload), ...).
-    """
-    bad = next(J for J in mono if not _column(n, J)[1])
-    head, terms = _column_relation(n, bad, ring)
-    line = f"S-step on column {bad}: {len(terms)} replacement column(s)"
     i = mono.index(bad)
     remainder = mono[:i] + mono[i + 1 :]
-    return line, tuple(
-        (-head * coeff, _validate_monomial(n, remainder + (new_col,)), descends, (new_col, bad))
-        for coeff, new_col, descends in terms
-    )
+    out = []
+    for (_, (new_col,)), coeff in rest:
+        tgt_seq = computed_minor(n, column_to_minor(n, new_col))
+        assert minor_order_compare(tgt_seq, src_seq) == -1, (new_col, bad)
+        out.append((-head * coeff, _validate_monomial(n, remainder + (new_col,))))
+    return out
 
 
 def _first_violation(cols):
@@ -196,41 +184,32 @@ def _first_violation(cols):
     return None
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _pair_relation(n, left, right, t, ring):
-    """The exchange relation at row t of two index sets' fillings, in the ring,
-    split at its head term X_left X_right."""
-    relation = exchange_relation(_column(n, left)[0], _column(n, right)[0], t)
-    head, rest = _split_head(_relation_in_ring(relation, ring), _vars_key([left, right]))
-    return head, tuple(rest)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _p_step(n, mono, ring):
+def _p_step(n, mono, ring, trace):
     """Exchange a violating adjacent pair of the minimal arrangement.
 
-    Returns the trace line and ((coeff, new monomial, descends, assert
-    payload), ...), where ``descends`` says whether the new monomial's
-    minimal arrangement is strictly below this one's in the tableau order.
+    Returns ((coeff, new monomial), ...); each new monomial's minimal
+    arrangement is strictly below this one's in the tableau order.
     """
     arr, cols = _min_arrangement(n, mono)
     c, t = _first_violation(cols)
-    head, rest = _pair_relation(n, arr[c], arr[c + 1], t, ring)
-    line = (
-        f"P-step on columns {arr[c]} | {arr[c + 1]} at row {t}: "
-        f"{len(rest)} exchange term(s)"
-    )
+    relation = _relation_in_ring(exchange_relation(cols[c], cols[c + 1], t), ring)
+    head, rest = _split_head(relation, _vars_key([arr[c], arr[c + 1]]))
+    if trace:
+        trace(
+            f"P-step on columns {arr[c]} | {arr[c + 1]} at row {t}: "
+            f"{len(rest)} exchange term(s)"
+        )
     remainder = arr[:c] + arr[c + 2 :]
     out = []
     for (_, vars_), coeff in rest:
         new_mono = _validate_monomial(n, remainder + vars_)
         _, new_cols = _min_arrangement(n, new_mono)
-        descends = tableau_order_compare(new_cols, cols) == -1
-        out.append((-head * coeff, new_mono, descends, (vars_, mono)))
-    return line, tuple(out)
+        assert tableau_order_compare(new_cols, cols) == -1, (vars_, mono)
+        out.append((-head * coeff, new_mono))
+    return out
 
 
-def straighten(n, monomial, ring, trace=None, max_steps=200000):
+def straighten(n, monomial, ring, trace=None):
     """Express a Pluecker monomial in the tableau basis of the given ring.
 
     Returns a dict mapping tableaux (tuples of filled columns) to integer
@@ -240,14 +219,13 @@ def straighten(n, monomial, ring, trace=None, max_steps=200000):
     if ring not in ("classical", "degenerate"):
         raise ValueError(f"unknown ring: {ring!r}")
     start = _validate_monomial(n, tuple(tuple(J) for J in monomial))
-    work = {start: 1}
+    work = {_queue_key(n, start): 1}
     result = {}
     steps = 0
     while work:
-        mono = max(work)
-        coeff = work.pop(mono)
-        if coeff == 0:
-            continue
+        key = max(work)
+        coeff = work.pop(key)
+        mono = key[1]
         symplectic = all(_column(n, J)[1] for J in mono)
         if symplectic:
             cols = _min_arrangement(n, mono)[1]
@@ -255,17 +233,13 @@ def straighten(n, monomial, ring, trace=None, max_steps=200000):
                 result[cols] = result.get(cols, 0) + coeff
                 continue
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise RuntimeError("straightening budget exhausted: suspected cycle")
-        line, expansion = (_p_step if symplectic else _s_step)(n, mono, ring)
-        if trace:
-            trace(line)
-        for _, _, descends, payload in expansion:
-            assert descends, payload
-        for c, new_mono, _, _ in expansion:
-            new = work.get(new_mono, 0) + coeff * c
+        for c, new_mono in (_p_step if symplectic else _s_step)(n, mono, ring, trace):
+            new_key = _queue_key(n, new_mono)
+            new = work.get(new_key, 0) + coeff * c
             if new:
-                work[new_mono] = new
+                work[new_key] = new
             else:
-                work.pop(new_mono, None)
+                work.pop(new_key, None)
     return {tab: c for tab, c in result.items() if c}

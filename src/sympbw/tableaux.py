@@ -172,17 +172,18 @@ def tableau_to_json(n, tab):
 
 def tableau_from_json(n, data):
     """Parse ``{"shape": [...], "columns": [[...], ...]}``; any other shape raises ValueError."""
+    expected = 'a tableau is {"shape": [int, ...], "columns": [[int, ...], ...]}'
     try:
-        cols = tuple(tuple(int(e) for e in col) for col in data["columns"])
-        given = [int(x) for x in data["shape"]] if "shape" in data else None
-    except (TypeError, KeyError, ValueError):
-        raise ValueError(
-            'a tableau is {"shape": [int, ...], "columns": [[int, ...], ...]}, "shape" optional'
-        ) from None
+        cols = tuple(tuple(col) for col in data["columns"])
+        given = list(data["shape"])
+    except (TypeError, KeyError):
+        raise ValueError(expected) from None
+    if any(type(x) is not int for x in itertools.chain(given, *cols)):
+        raise ValueError(expected)
     tab = validate_tableau(n, cols)
     lengths = [len(c) for c in tab]
     shape = [sum(1 for l in lengths if l >= i + 1) for i in range(lengths[0])] if tab else []
-    if given is not None and given != shape:
+    if given != shape:
         raise ValueError("shape does not match columns")
     return tab
 

@@ -298,6 +298,15 @@ def test_out_to_missing_directory_exit_1(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_options_belong_to_the_verbs_that_read_them(capsys):
+    # only verify samples points; every verb but verify renders entries
+    assert run(capsys, "tableaux", "--n", "2", "--lambda", "1,0", "--seed", "1")[0] == 2
+    assert run(capsys, "tableaux", "--n", "2", "--lambda", "1,0", "--ascii")[0] == 0
+    argv = ("verify", "--n", "2", "--suite", "classical-ideal", "--seeds", "1")
+    assert run(capsys, *argv, "--seed", "1")[0] == 0
+    assert run(capsys, *argv, "--ascii")[0] == 2
+
+
 def test_parser_reuse_keeps_no_state(capsys):
     argv = ("straighten", "--n", "2", "--ring", "degenerate", "--columns", "1,3;2,4")
     code, _, err = run(capsys, *argv, "--trace")
@@ -345,6 +354,17 @@ def test_reader_closing_stdout_during_a_streamed_json_answer():
     (("to-monomial", "--tableau", "[1]"), "a tableau is"),
     (("to-monomial", "--tableau", "{}"), "a tableau is"),
     (("straighten", "--ring", "classical", "--columns", "1,2;"), "got the column ''"),
+    # JSON values of the wrong type are refused, not converted
+    (("to-tableau", "--lambda", "1,1", "--monomial",
+      '[{"root": {"i": 1, "j": 1, "barred": "false"}, "exp": 1}]'), "a root is"),
+    (("to-tableau", "--lambda", "1,1", "--monomial",
+      '[{"root": {"i": "1", "j": 1, "barred": false}, "exp": 1}]'), "a root is"),
+    (("to-tableau", "--lambda", "1,1", "--monomial",
+      '[{"root": {"i": 1, "j": 1, "barred": false}, "exp": 1.7}]'), "a multi-exponent is a list of"),
+    (("to-monomial", "--tableau", '{"shape": [2, 1], "columns": [[1.9, 2], [1]]}'), "a tableau is"),
+    (("to-monomial", "--tableau", '{"shape": [2.0, 1], "columns": [[1, 2], [1]]}'), "a tableau is"),
+    # "shape" is required, as in tableau.schema.json
+    (("to-monomial", "--tableau", '{"columns": [[1, 2], [1]]}'), "a tableau is"),
 ])
 def test_malformed_input_shape_is_a_json_error(capsys, argv, expected):
     code, out, err = run(capsys, argv[0], "--n", "2", *argv[1:])
@@ -423,7 +443,7 @@ JSON_CALLS = [
     ("verify", "--suite", "s-family", "--seeds", "2"),
     ("to-tableau", "--lambda", "LAM", "--monomial",
      '[{"root": {"i": 1, "j": 1, "barred": false}, "exp": 1}]'),
-    ("to-monomial", "--tableau", '{"columns": [[1, 2], [1]]}'),
+    ("to-monomial", "--tableau", '{"columns": [[1, 2], [1]], "shape": [2, 1]}'),
     ("straighten", "--ring", "classical", "--columns", "1,3;2,4"),
     ("straighten", "--ring", "degenerate", "--columns", "1,3;2,4"),
 ]

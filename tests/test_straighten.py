@@ -1,5 +1,3 @@
-import ast
-import inspect
 import itertools
 import random
 
@@ -191,27 +189,24 @@ def test_spot_checks_n3():
                 assert lhs == rhs, (ring, mono)
 
 
-# --- the uncached rewriting path, kept as the oracle of the memoized one ---
+# --- the old queue order, kept as the oracle of straighten ---
 #
-# The step functions below are straighten's before each step was cached per
-# (n, monomial, ring): every relation, arrangement and validation is rebuilt
-# on every pop.  The helpers they share with the module are unchanged, and
-# the ones now cached are called through __wrapped__, past their caches.
-# The descent asserts are spelled as explicit raises, since pytest would
-# rewrite an assert here and change the exception's args.
+# oracle_straighten is straighten as it was before its queue popped in the
+# descent order: it pops the largest monomial in plain tuple order, so a
+# monomial can come back after it has been rewritten, and it rebuilds every
+# relation, arrangement and validation on every pop (the arrangement through
+# __wrapped__, past its cache).  The descent asserts are spelled as explicit
+# raises, since pytest would rewrite an assert here and change the
+# exception's args.
 
-_oracle_validate = _validate_monomial.__wrapped__
 _oracle_min_arrangement = _min_arrangement.__wrapped__
-_oracle_is_straight = _is_straight.__wrapped__
 
 
-def _oracle_s_step(n, mono, ring, trace):
+def _oracle_s_step(n, mono, ring):
     bad = next(J for J in mono if not _column(n, J)[1])
     minor = column_to_minor(n, bad)
     relation = _relation_in_ring(symplectic_relation(n, minor), ring)
     head, rest = _split_head(relation, (bad,))
-    if trace:
-        trace(f"S-step on column {bad}: {len(rest)} replacement column(s)")
     src_seq = computed_minor(n, minor)
     remainder = list(mono)
     remainder.remove(bad)
@@ -221,24 +216,19 @@ def _oracle_s_step(n, mono, ring, trace):
         tgt_seq = computed_minor(n, column_to_minor(n, new_col))
         if minor_order_compare(tgt_seq, src_seq) != -1:
             raise AssertionError((new_col, bad))
-        out.append((-head * coeff, _oracle_validate(n, remainder + [new_col])))
+        out.append((-head * coeff, _validate_monomial(n, remainder + [new_col])))
     return out
 
 
-def _oracle_p_step(n, mono, arrangement, ring, trace):
+def _oracle_p_step(n, mono, arrangement, ring):
     arr, cols = arrangement
     c, t = _first_violation(cols)
     relation = _relation_in_ring(exchange_relation(cols[c], cols[c + 1], t), ring)
     head, rest = _split_head(relation, _vars_key([arr[c], arr[c + 1]]))
-    if trace:
-        trace(
-            f"P-step on columns {arr[c]} | {arr[c + 1]} at row {t}: "
-            f"{len(rest)} exchange term(s)"
-        )
     remainder = arr[:c] + arr[c + 2 :]
     out = []
     for (_, vars_), coeff in rest:
-        new_mono = _oracle_validate(n, remainder + vars_)
+        new_mono = _validate_monomial(n, remainder + vars_)
         _, new_cols = _oracle_min_arrangement(n, new_mono)
         if tableau_order_compare(new_cols, cols) != -1:
             raise AssertionError((vars_, mono))
@@ -246,10 +236,10 @@ def _oracle_p_step(n, mono, arrangement, ring, trace):
     return out
 
 
-def oracle_straighten(n, monomial, ring, trace=None, max_steps=200000):
+def oracle_straighten(n, monomial, ring, max_steps=200000):
     if ring not in ("classical", "degenerate"):
         raise ValueError(f"unknown ring: {ring!r}")
-    start = _oracle_validate(n, monomial)
+    start = _validate_monomial(n, monomial)
     work = {start: 1}
     result = {}
     steps = 0
@@ -262,16 +252,16 @@ def oracle_straighten(n, monomial, ring, trace=None, max_steps=200000):
         if all(_column(n, J)[1] for J in mono):
             arrangement = _oracle_min_arrangement(n, mono)
             cols = arrangement[1]
-            if _oracle_is_straight(cols):
+            if _is_straight(cols):
                 result[cols] = result.get(cols, 0) + coeff
                 continue
         steps += 1
         if steps > max_steps:
             raise RuntimeError("straightening budget exhausted: suspected cycle")
         if arrangement is None:
-            expansion = _oracle_s_step(n, mono, ring, trace)
+            expansion = _oracle_s_step(n, mono, ring)
         else:
-            expansion = _oracle_p_step(n, mono, arrangement, ring, trace)
+            expansion = _oracle_p_step(n, mono, arrangement, ring)
         for c, new_mono in expansion:
             new = work.get(new_mono, 0) + coeff * c
             if new:
@@ -289,12 +279,11 @@ def module_caches():
 
 
 def outcome(fn, n, mono, ring):
-    """(result, trace lines, (exception type, args) or None) of one call."""
-    lines = []
+    """(result, (exception type, args) or None) of one call."""
     try:
-        return fn(n, mono, ring, trace=lines.append), lines, None
+        return fn(n, mono, ring), None
     except Exception as exc:
-        return None, lines, (type(exc), exc.args)
+        return None, (type(exc), exc.args)
 
 
 def oracle_corpus():
@@ -323,35 +312,54 @@ def oracle_outcomes():
 def test_memoized_path_matches_oracle(oracle_outcomes, warm):
     corpus, expected = oracle_outcomes
     assert len(corpus) == 204
-    # the known descent failures (ROADMAP item 1) must raise at the same step
-    failures = [exc for _, _, exc in expected if exc is not None]
+    # the known descent failures (ROADMAP item 1) of the old queue order
+    failures = [exc for _, exc in expected if exc is not None]
     assert len(failures) == 13 and {exc[0] for exc in failures} == {AssertionError}
+    sample = {"classical": sample_classical_flag, "degenerate": sample_degenerate_point}
+    points = {
+        (n, ring): [sample[ring](n, seed).flat() for seed in (0, 1)]
+        for n in (3, 4) for ring in RINGS
+    }
     for cache in module_caches():
         cache.cache_clear()
-    for case, want in zip(corpus, expected):
+    for case, (want, want_exc) in zip(corpus, expected):
         if not warm:
             for cache in module_caches():
                 cache.cache_clear()
-        assert outcome(straighten, *case) == want, case
+        got, exc = outcome(straighten, *case)
+        if want_exc is None:
+            assert (got, exc) == (want, None), case
+        elif exc is not None:
+            assert exc[0] is AssertionError, case
+        else:  # the descent order rewrote it where the old order failed an assert
+            n, mono, ring = case
+            for coords in points[(n, ring)]:
+                assert evaluate(mono, coords) == sum(
+                    c * evaluate(tab, coords) for tab, c in got.items()
+                ), case
 
 
-def test_every_cache_is_a_bounded_module_attribute():
-    # bench/tracer.memo_caches finds caches among module attributes only,
-    # and empties them before every benchmarked call
-    tree = ast.parse(inspect.getsource(sympbw.straighten))
-    decorated = {
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any("cache" in ast.unparse(dec) for dec in node.decorator_list)
-    }
-    found = {obj.__name__ for obj in module_caches()}
-    assert decorated == found
-    assert {"_s_step", "_p_step", "_pair_relation", "_column_relation"} <= found
-    for cache in module_caches():
-        assert cache is getattr(sympbw.straighten, cache.__name__)
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 1 << 16, cache.__name__
+def test_no_monomial_is_rewritten_twice(monkeypatch):
+    rewritten = []
+    for name in ("_s_step", "_p_step"):
+        step = getattr(sympbw.straighten, name)
+
+        def record(n, mono, *args, step=step):
+            rewritten.append(mono)
+            return step(n, mono, *args)
+
+        monkeypatch.setattr(sympbw.straighten, name, record)
+    total = 0
+    for n, mono, ring in oracle_corpus():
+        rewritten.clear()
+        lines = []
+        try:
+            straighten(n, mono, ring, trace=lines.append)
+        except AssertionError:  # the S-step descent defect, ROADMAP item 1
+            pass
+        assert len(rewritten) == len(set(rewritten)) == len(lines), (n, mono, ring)
+        total += len(rewritten)
+    assert total > 204
 
 
 def test_list_input_matches_tuple_input():
