@@ -35,9 +35,9 @@ print(check_s_bridge(generate_ideal(n, "s-family"), classical))
 
 # degenerate points project isotropically level by level; classical ones don't
 print("\nisotropy at degenerate points:",
-      all(check_isotropy_projection(p, n, 1) for p in degenerate))
+      all(check_isotropy_projection(p, 1) for p in degenerate))
 print("isotropy at classical points: ",
-      any(check_isotropy_projection(p, n, 1) for p in classical))
+      any(check_isotropy_projection(p, 1) for p in classical))
 
 # counting and bijection audits as reports
 print()

@@ -38,7 +38,10 @@ def _parse_lambda(value, n):
     parts = value.split(",")
     if len(parts) != n:
         raise ValueError(f"--lambda needs {n} comma-separated entries, got {len(parts)}")
-    lam = tuple(int(x) for x in parts)
+    try:
+        lam = tuple(int(x) for x in parts)
+    except ValueError:
+        raise ValueError(f"--lambda needs {n} comma-separated integers, got {value!r}") from None
     if any(x < 0 for x in lam):
         raise ValueError("--lambda entries must be nonnegative")
     return lam
@@ -294,7 +297,7 @@ def _cmd_verify(args):
         report = check_vanishing(generate_ideal(n, "degenerate"), points)
         for point in points:
             for k in range(1, n + 1):
-                if not check_isotropy_projection(point, n, k):
+                if not check_isotropy_projection(point, k):
                     report["failures"].append(
                         {"seed": point.seed, "level": k, "error": "isotropy/projection failed"}
                     )

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .liealg import Root, check_enumeration_size, positive_roots, root_from_dict, root_key
 
-# Bound of every memo cache below (entries per cache; keys are n or (n, m)).
+# Bound of the inequality-index memo cache below (entries; keys are (n, m)).
 _CACHE_SIZE = 64
 
 
@@ -64,7 +64,6 @@ def _steps(alpha, n):
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _dyck_paths(n):
     paths = []
 
@@ -126,7 +125,6 @@ def contains(n, m, p):
     return all(r >= 0 for r in room)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _room_plan(n, m):
     """Per root, in reading order: (source slot, source slot, least end value).
 

@@ -1,16 +1,17 @@
 """Exact point sampling and runtime checks.
 
 Samples integral points on the classical symplectic flag variety (unipotent
-orbit through the highest-weight flag) and on its PBW degeneration (graded
-orbit, built level by level), then checks generated relations, projection
+orbit through the highest-weight flag) and on its PBW degeneration
+(abelianized orbit: level k from the truncation P_{>k} F P_{<=k} of one
+random lowering matrix F), then checks generated relations, projection
 geometry, enumeration counts, and the monomial/tableau bijection against
-them.  All arithmetic is exact, in ``int``.
+them.  Both samplers read every Pluecker coordinate as a minor of integer
+spanning columns, one route per point.  All arithmetic is exact, in ``int``.
 """
 
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .correspondence import monomial_to_tableau, monomial_weight, tableau_to_monomial
 from .fflv import lattice_points, multiexp_to_json
@@ -27,7 +28,6 @@ from .liealg import (
     transpose,
     weyl_dimension,
 )
-from .pluecker import pbw_degree_index
 from .relations import term_pbw_degree
 from .tableaux import enumerate_tableaux, tableau_weight
 
@@ -112,123 +112,30 @@ def sample_classical_flag(n, seed):
     return _point_from_columns(n, columns, "classical", seed)
 
 
-@lru_cache(maxsize=64)
-def _wedge_basis(n, k):
-    return tuple(itertools.combinations(range(1, 2 * n + 1), k))
-
-
-def degenerate_operator(n, k, alpha):
-    """Degree-graded action of f_alpha on the level-k wedge basis.
-
-    Acts by the derivation rule on each w_J and keeps only the components
-    whose degree #{j > k} rises by exactly one.  Returned as a map
-    J -> list of (J', integer coefficient).
-    """
-    mat = root_vector_matrix(n, alpha)
-    entries = [
-        (r + 1, c + 1, mat[r][c])
-        for r in range(2 * n)
-        for c in range(2 * n)
-        if mat[r][c]
-    ]
-    op = {}
-    for J in _wedge_basis(n, k):
-        deg = pbw_degree_index(k, J)
-        terms = {}
-        for pos in range(k):
-            for r, c, v in entries:
-                if c != J[pos] or r in J:
-                    continue
-                image = sorted(J[:pos] + (r,) + J[pos + 1 :])
-                sign = (-1) ** (image.index(r) - pos)
-                J2 = tuple(image)
-                if pbw_degree_index(k, J2) != deg + 1:
-                    continue
-                terms[J2] = terms.get(J2, 0) + sign * v
-        cleaned = [(J2, v) for J2, v in sorted(terms.items()) if v]
-        if cleaned:
-            op[J] = cleaned
-    return op
-
-
-def _wedge_apply(op, vec):
-    out = {}
-    for J, val in vec.items():
-        for J2, c in op.get(J, ()):
-            out[J2] = out.get(J2, 0) + c * val
-    return {J: v for J, v in out.items() if v}
-
-
-def _wedge_exp_apply(op, c, vec):
-    """exp(c * op) applied to an integer vec; op is a level operator.
-
-    The operator is the derivation of a truncated root matrix g with g^2 = 0,
-    so op^j / j! applies g at j distinct wedge positions and is integral.
-    Term j is c^j op^j(vec) / j!, and c * op(term_{j-1}) is j times it: the
-    floor division below is exact.
-    """
-    total = dict(vec)
-    term = vec
-    j = 0
-    while term:
-        j += 1
-        term = {J: c * v // j for J, v in _wedge_apply(op, term).items()}
-        for J, v in term.items():
-            total[J] = total.get(J, 0) + v
-    return {J: v for J, v in total.items() if v}
-
-
-@lru_cache(maxsize=64)
-def _level_operators(n, k):
-    """Operators for all positive roots at level k, commutativity asserted."""
-    ops = [(alpha, degenerate_operator(n, k, alpha)) for alpha in positive_roots(n)]
-    basis = _wedge_basis(n, k)
-    for (_, op1), (_, op2) in itertools.combinations(ops, 2):
-        for J in basis:
-            vec = {J: 1}
-            lhs = _wedge_apply(op1, _wedge_apply(op2, vec))
-            rhs = _wedge_apply(op2, _wedge_apply(op1, vec))
-            assert lhs == rhs, f"operators do not commute at n={n}, k={k}"
-    return tuple(ops)
-
-
-def _truncated_root_matrix(n, k, alpha):
-    """P_{>k} f_alpha P_{<=k}: the matrix whose derivation the level-k
-    operator is."""
-    mat = root_vector_matrix(n, alpha)
-    return [
-        [mat[r][c] if r >= k and c < k else 0 for c in range(2 * n)]
-        for r in range(2 * n)
-    ]
-
-
 def sample_degenerate_point(n, seed):
     """A random point of the degenerate flag variety, exact coordinates.
 
-    At each level k the abelianized lowering operators act on the
-    highest-weight vector w_{1..k}; the same random coefficients are shared
-    across levels.  Coordinates are cross-checked against minors of the
-    matrix route I + sum c_alpha * (P_{>k} f_alpha P_{<=k}).
+    The point lies on the orbit of the abelianized unipotent group through
+    the highest-weight flag.  With F = sum_alpha c_alpha f_alpha over all
+    positive roots (the same small integer c_alpha at every level), level k
+    is spanned by the first k columns of exp(X) = I + X with
+    X = P_{>k} F P_{<=k}: X maps into span(e_{k+1}, ..., e_{2n}), which X
+    kills, so X^2 = 0 and the series stops after its linear term.
+    Coordinates are the k x k minors of those columns, as for the classical
+    sampler.
     """
     coeffs = _random_coefficients(n, seed)
-    coords = {}
+    size = 2 * n
+    zero = [[0] * size for _ in range(size)]
+    f = zero
+    for alpha in positive_roots(n):
+        f = mat_add(f, mat_scale(coeffs[alpha], root_vector_matrix(n, alpha)))
     columns = {}
     for k in range(1, n + 1):
-        vec = {tuple(range(1, k + 1)): 1}
-        for alpha, op in _level_operators(n, k):
-            vec = _wedge_exp_apply(op, coeffs[alpha], vec)
-        table = {J: vec.get(J, 0) for J in _wedge_basis(n, k)}
-        m = identity_matrix(2 * n)
-        for alpha in positive_roots(n):
-            m = mat_add(m, mat_scale(coeffs[alpha], _truncated_root_matrix(n, k, alpha)))
-        for J in _wedge_basis(n, k):
-            minor = matrix_minor(m, J, tuple(range(1, k + 1)))
-            assert minor == table[J], f"wedge/minor mismatch at level {k}, J={J}"
-        coords[k] = table
-        columns[k] = _matrix_columns(m, k)
-    point = FlagPoint(n=n, kind="degenerate", seed=seed, coords=coords, bases=columns)
-    assert all(point.coords[k][J] for k, J in ((k, tuple(range(1, k + 1))) for k in range(1, n + 1)))
-    return point
+        x = [[f[r][c] if r >= k and c < k else 0 for c in range(size)] for r in range(size)]
+        assert mat_mul(x, x) == zero, f"level-{k} truncation does not square to zero"
+        columns[k] = _matrix_columns(mat_add(identity_matrix(size), x), k)
+    return _point_from_columns(n, columns, "degenerate", seed)
 
 
 def _check_kinds(relations, ring, points, point_kind):
@@ -331,12 +238,16 @@ def _projection_drop(i, vector):
     return tuple(0 if r == i - 1 else v for r, v in enumerate(vector))
 
 
-def check_isotropy_projection(point, n, k):
-    """The level-k subspace satisfies the linear-algebra realization.
+def check_isotropy_projection(point, k):
+    """The level-k subspace of the point satisfies the linear-algebra realization.
 
     True iff pr_{1,3}(U_k) is isotropic for the symplectic form, and (for
     k < n) the projection of U_k killing coordinate k+1 lies inside U_{k+1}.
+    ValueError unless 1 <= k <= point.n.
     """
+    n = point.n
+    if not 1 <= k <= n:
+        raise ValueError(f"level k must be in 1..{n}, got {k}")
     psi = symplectic_form(n)
     basis = point.bases[k]
     projected = [_projection_13(n, k, v) for v in basis]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -7,16 +8,16 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from sympbw.liealg import Root, symplectic_form
-from sympbw.pluecker import poly_add, poly_frozen
+from sympbw.liealg import Root, positive_roots, root_vector_matrix, symplectic_form
+from sympbw.pluecker import pbw_degree_index, poly_add, poly_frozen
 from sympbw.relations import Relation, generate_ideal, poly_term, term_pbw_degree
 from sympbw.verify import (
+    _random_coefficients,
     check_counts,
     check_isotropy_projection,
     check_roundtrip,
     check_s_bridge,
     check_vanishing,
-    degenerate_operator,
     sample_classical_flag,
     sample_degenerate_point,
 )
@@ -65,6 +66,61 @@ def test_poly_eval():
         poly_eval(s_graded, {(1,): Fraction(2)})
 
 
+def degenerate_operator(n, k, alpha):
+    """Degree-graded action of f_alpha on the level-k wedge basis (the oracle).
+
+    Acts by the derivation rule on each w_J and keeps only the components
+    whose degree #{j > k} rises by exactly one.  Returned as a map
+    J -> list of (J', integer coefficient).
+    """
+    mat = root_vector_matrix(n, alpha)
+    entries = [
+        (r + 1, c + 1, mat[r][c])
+        for r in range(2 * n)
+        for c in range(2 * n)
+        if mat[r][c]
+    ]
+    op = {}
+    for J in itertools.combinations(range(1, 2 * n + 1), k):
+        deg = pbw_degree_index(k, J)
+        terms = {}
+        for pos in range(k):
+            for r, c, v in entries:
+                if c != J[pos] or r in J:
+                    continue
+                image = sorted(J[:pos] + (r,) + J[pos + 1 :])
+                sign = (-1) ** (image.index(r) - pos)
+                J2 = tuple(image)
+                if pbw_degree_index(k, J2) != deg + 1:
+                    continue
+                terms[J2] = terms.get(J2, 0) + sign * v
+        cleaned = [(J2, v) for J2, v in sorted(terms.items()) if v]
+        if cleaned:
+            op[J] = cleaned
+    return op
+
+
+def _wedge_apply(op, vec):
+    out = {}
+    for J, val in vec.items():
+        for J2, c in op.get(J, ()):
+            out[J2] = out.get(J2, 0) + c * val
+    return {J: v for J, v in out.items() if v}
+
+
+def _wedge_exp_apply(op, c, vec):
+    """exp(c * op) vec, summed term by term in exact fractions until a term vanishes."""
+    total = dict(vec)
+    term = vec
+    j = 0
+    while term:
+        j += 1
+        term = {J: Fraction(c * v, j) for J, v in _wedge_apply(op, term).items()}
+        for J, v in term.items():
+            total[J] = total.get(J, 0) + v
+    return {J: v for J, v in total.items() if v}
+
+
 def test_degenerate_operator_golden():
     op = degenerate_operator(2, 1, Root(1, 1, False))
     assert op == {(1,): [((2,), 1)]}
@@ -96,6 +152,37 @@ def test_degenerate_sampler():
     assert point.kind == "degenerate"
     assert point.coords[1][(1,)] == 1
     assert sample_degenerate_point(3, 4).coords == point.coords
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_degenerate_sampler_matches_the_wedge_operator_oracle(n):
+    # The point at level k is prod_alpha exp(c_alpha * op_alpha) applied to
+    # w_{1..k}, with the sampler's own coefficients; every term is summed in
+    # exact fractions, and the sum must be the sampler's integer minor.
+    ops = {k: [(alpha, degenerate_operator(n, k, alpha)) for alpha in positive_roots(n)]
+           for k in range(1, n + 1)}
+    for seed in range(5):
+        coeffs = _random_coefficients(n, seed)
+        point = sample_degenerate_point(n, seed)
+        for k in range(1, n + 1):
+            vec = {tuple(range(1, k + 1)): 1}
+            for alpha, op in ops[k]:
+                vec = _wedge_exp_apply(op, coeffs[alpha], vec)
+            expected = {J: vec.get(J, 0) for J in itertools.combinations(range(1, 2 * n + 1), k)}
+            assert point.coords[k] == expected, (n, seed, k)
+            assert all(type(v) is int for v in point.coords[k].values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_wedge_operator_oracle_commutes(n):
+    # the abelianized action: the level-k operators of any two roots commute
+    for k in range(1, n + 1):
+        ops = [degenerate_operator(n, k, alpha) for alpha in positive_roots(n)]
+        for op1, op2 in itertools.combinations(ops, 2):
+            for J in itertools.combinations(range(1, 2 * n + 1), k):
+                vec = {J: 1}
+                lhs = _wedge_apply(op1, _wedge_apply(op2, vec))
+                assert lhs == _wedge_apply(op2, _wedge_apply(op1, vec)), (n, k, J)
 
 
 def test_flat_merges_levels():
@@ -165,10 +252,16 @@ def test_vanishing_kind_mismatch():
 
 def test_isotropy_projection():
     for seed in range(5):
-        assert check_isotropy_projection(sample_degenerate_point(2, seed), 2, 1)
-        assert check_isotropy_projection(sample_degenerate_point(3, seed), 3, 2)
+        assert check_isotropy_projection(sample_degenerate_point(2, seed), 1)
+        assert check_isotropy_projection(sample_degenerate_point(3, seed), 2)
     # classical flags are not isotropic under the coordinate projection
-    assert not check_isotropy_projection(sample_classical_flag(2, 0), 2, 1)
+    assert not check_isotropy_projection(sample_classical_flag(2, 0), 1)
+
+
+@pytest.mark.parametrize("k", [0, 4, -1])
+def test_isotropy_projection_refuses_a_level_the_point_lacks(k):
+    with pytest.raises(ValueError, match="level k must be in 1..3"):
+        check_isotropy_projection(sample_degenerate_point(3, 1), k)
 
 
 def test_counts_report():
