@@ -309,7 +309,7 @@ def _cmd_verify(args):
         report["seeds"] = seeds
     report["n"] = n
     code = 0 if report["ok"] else 1
-    if args.report == "json" or args.format == "json":
+    if args.report == "json":
         return report, code
     status = "PASS" if report["ok"] else "FAIL"
     lines = [f"{status} suite={args.suite} n={n} checked={report['checked']}"]
@@ -332,9 +332,9 @@ def build_parser():
                 "--lambda", dest="lam", required=lam_required,
                 help="weight as comma-separated fundamental multiplicities m_1,...,m_n",
             )
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        if entries:  # a verify report renders no tableau entries
+        if entries:  # a verify report renders no tableau entries and picks JSON by --report
+            p.add_argument("--format", choices=("text", "json"), default="text")
             p.add_argument("--ascii", action="store_true", help="render barred entries as i'")
 
     common(sub.add_parser("roots", help="positive roots in triangle order"))

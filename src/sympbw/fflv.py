@@ -33,7 +33,7 @@ same DP measured about 1.5x slower at n = 4.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .liealg import Root, check_enumeration_size, positive_roots, root_from_dict, root_key
+from .liealg import Root, check_enumeration_size, check_weight, positive_roots, root_from_dict, root_key
 
 # Bound of the inequality-index memo cache below (entries; keys are (n, m)).
 _CACHE_SIZE = 64
@@ -92,8 +92,7 @@ def dyck_paths(n):
 @lru_cache(maxsize=_CACHE_SIZE)
 def _inequality_index(n, m):
     """(inequalities, right-hand sides, stored positive root -> indices of inequalities on it)."""
-    if len(m) != n or any(x < 0 for x in m):
-        raise ValueError(f"m must be a length-{n} vector of nonnegative integers")
+    check_weight(n, m)
     ineqs = []
     at = {alpha: [] for alpha in positive_roots(n)}
     for k, path in enumerate(_dyck_paths(n)):

@@ -126,21 +126,10 @@ def symplectic_form(n):
     return psi
 
 
-def in_symplectic_algebra(n, mat):
-    """True iff mat^T Psi + Psi mat = 0."""
-    psi = symplectic_form(n)
-    lhs = mat_add(mat_mul(transpose(mat), psi), mat_mul(psi, mat))
-    return all(all(x == 0 for x in row) for row in lhs)
-
-
-def cartan_element(n, coeffs):
-    """diag(t_1, ..., t_n, -t_n, ..., -t_1) for coeffs = (t_1, ..., t_n)."""
-    size = 2 * n
-    mat = [[0] * size for _ in range(size)]
-    for i, t in enumerate(coeffs):
-        mat[i][i] = t
-        mat[size - 1 - i][size - 1 - i] = -t
-    return mat
+def check_weight(n, m):
+    """Raise ValueError unless m is a length-n vector of nonnegative ints."""
+    if len(m) != n or any(type(x) is not int or x < 0 for x in m):
+        raise ValueError(f"m must be a length-{n} vector of nonnegative integers")
 
 
 def weyl_dimension(n, m):
@@ -152,8 +141,7 @@ def weyl_dimension(n, m):
         dim = prod_{i<j} (l_i - l_j)(l_i + l_j) / ((r_i - r_j)(r_i + r_j))
               * prod_i l_i / r_i.
     """
-    if len(m) != n or any(x < 0 for x in m):
-        raise ValueError(f"m must be a length-{n} vector of nonnegative integers")
+    check_weight(n, m)
     lam = [sum(m[i:]) for i in range(n)]
     l = [lam[i] + n - i for i in range(n)]
     r = [n - i for i in range(n)]
@@ -214,10 +202,6 @@ def mat_mul(a, b):
             for r in range(cols):
                 op[r] += coeff * bq[r]
     return out
-
-
-def mat_bracket(a, b):
-    return mat_add(mat_mul(a, b), mat_scale(-1, mat_mul(b, a)))
 
 
 def transpose(a):

@@ -1,5 +1,5 @@
 """Pluecker coordinates on symplectic flag varieties: index bookkeeping,
-computed minors, admissibility, PBW degrees, and exact sparse polynomials.
+computed minors, reverse admissibility, PBW degrees, and exact sparse polynomials.
 
 A level-k Pluecker variable X_J is labelled by a sorted k-tuple J of rows from
 1..2n.  A *minor* is a pair (I2, I1) of subsets of {1..n}: I1 collects the
@@ -90,27 +90,15 @@ def computed_minor(n, m):
     return tuple(seq)
 
 
-def _witnesses(n, m, direction):
+def is_reverse_admissible(n, m):
+    """True iff some T in the complement of I1 u I2 has |T| = |Gamma| and T < Gamma."""
     i2, i1 = validate_minor(n, m)
     gamma = sorted(set(i1) & set(i2))
     pool = sorted(set(range(1, n + 1)) - set(i1) - set(i2))
-    out = []
-    for t_set in itertools.combinations(pool, len(gamma)):
-        if direction == "<" and all(t < g for t, g in zip(t_set, gamma)):
-            out.append(t_set)
-        elif direction == ">" and all(t > g for t, g in zip(t_set, gamma)):
-            out.append(t_set)
-    return out
-
-
-def is_reverse_admissible(n, m):
-    """True iff some T in the complement of I1 u I2 has |T| = |Gamma| and T < Gamma."""
-    return bool(_witnesses(n, m, "<"))
-
-
-def is_admissible(n, m):
-    """Mirror of is_reverse_admissible with T > Gamma."""
-    return bool(_witnesses(n, m, ">"))
+    return any(
+        all(t < g for t, g in zip(t_set, gamma))
+        for t_set in itertools.combinations(pool, len(gamma))
+    )
 
 
 def pbw_fill(values):
@@ -131,15 +119,6 @@ def pbw_fill(values):
     return tuple(col)
 
 
-def minor_to_column(n, m):
-    """Single column carrying the same row labels as the computed minor.
-
-    Total on all minors; the column is a symplectic PBW column exactly when
-    the minor is reverse-admissible.
-    """
-    return pbw_fill(computed_minor(n, m))
-
-
 def column_to_minor(n, col):
     """Inverse reading: unbarred entries form I1, bases of barred entries I2."""
     if len(set(col)) != len(col):
@@ -155,13 +134,6 @@ def column_to_minor(n, col):
 def pbw_degree_index(k, J):
     """Number of entries of the level-k index J exceeding k."""
     return sum(1 for j in J if j > k)
-
-
-def pbw_degree_minor(n, m):
-    """|I2| + #{i in I1 : i > k}, computed without building the minor."""
-    I2, I1 = validate_minor(n, m)
-    k = len(I1) + len(I2)
-    return len(I2) + sum(1 for i in I1 if i > k)
 
 
 # --- sparse polynomials in Pluecker variables ---
@@ -196,21 +168,6 @@ def poly_scale(c, p):
     return {key: c * coeff for key, coeff in p.items()}
 
 
-def poly_mul(p, q):
-    out = {}
-    for (s1, v1), c1 in p.items():
-        for (s2, v2), c2 in q.items():
-            if (s1 is None) != (s2 is None):
-                raise ValueError("cannot mix plain and s-graded terms")
-            key = (None if s1 is None else s1 + s2, _vars_key(v1 + v2))
-            new = out.get(key, 0) + c1 * c2
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
-
-
 def term_sort_key(key):
     s_deg, vars_ = key
     return (vars_, s_deg is not None, s_deg or 0)
@@ -241,21 +198,3 @@ def poly_to_json(p):
             }
         )
     return terms
-
-
-def poly_from_json(data):
-    out = {}
-    for term in data:
-        coeff = int(term["coeff"])
-        s_deg = term["s_deg"]
-        if s_deg is not None:
-            s_deg = int(s_deg)
-        vars_ = []
-        for v in term["vars"]:
-            J = tuple(int(x) for x in v["J"])
-            if len(J) != int(v["k"]):
-                raise ValueError("variable level does not match its index length")
-            vars_.append(J)
-        key = (s_deg, _vars_key(vars_))
-        out[key] = out.get(key, 0) + coeff
-    return {k: c for k, c in out.items() if c}

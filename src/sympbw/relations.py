@@ -53,9 +53,6 @@ class Relation:
             return "s"
         return "classical"
 
-    def as_dict(self):
-        return dict(self.poly)
-
 
 def exchange_relation(l_seq, j_seq, t):
     """Exchange relation on two row sequences, sorted or not.

@@ -87,6 +87,8 @@ def _matrix_columns(m, count):
 
 
 def _random_coefficients(n, seed):
+    if n < 1:
+        raise ValueError(f"a flag point needs n >= 1, got n={n}")
     rng = random.Random(seed)
     return {alpha: rng.randint(-9, 9) for alpha in positive_roots(n)}
 

@@ -2,12 +2,15 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import sympbw
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(sympbw.__path__))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_module_is_listed():
@@ -31,3 +34,25 @@ def test_every_module_cache_is_bounded(name):
         assert callable(getattr(cache, "cache_info", None)), f"{name}.{fname} is not a module attribute"
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1 << 16, f"{name}.{fname}: maxsize={maxsize}"
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a public function that only tests call is code the library carries for
+    # nothing: move it into the test that needs it as an oracle, or delete it
+    sources = sorted((ROOT / "src" / "sympbw").glob("*.py"))
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    lines = {path: path.read_text().splitlines() for path in sources + demos}
+    unused = []
+    for path in sources:
+        for node in ast.parse("\n".join(lines[path])).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(
+                word.search(line)
+                for other, text in lines.items()
+                for number, line in enumerate(text, 1)
+                if (other, number) != (path, node.lineno)
+            ):
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []

@@ -299,12 +299,14 @@ def test_out_to_missing_directory_exit_1(capsys, tmp_path):
 
 
 def test_options_belong_to_the_verbs_that_read_them(capsys):
-    # only verify samples points; every verb but verify renders entries
+    # only verify samples points; every verb but verify renders entries,
+    # and verify picks JSON by --report alone
     assert run(capsys, "tableaux", "--n", "2", "--lambda", "1,0", "--seed", "1")[0] == 2
     assert run(capsys, "tableaux", "--n", "2", "--lambda", "1,0", "--ascii")[0] == 0
     argv = ("verify", "--n", "2", "--suite", "classical-ideal", "--seeds", "1")
     assert run(capsys, *argv, "--seed", "1")[0] == 0
     assert run(capsys, *argv, "--ascii")[0] == 2
+    assert run(capsys, *argv, "--format", "json")[0] == 2
 
 
 def test_parser_reuse_keeps_no_state(capsys):

@@ -72,6 +72,10 @@ def test_inequalities_reject_bad_weight():
         fflv_inequalities(2, (1,))
     with pytest.raises(ValueError):
         fflv_inequalities(2, (1, -1))
+    with pytest.raises(ValueError):
+        fflv_inequalities(2, (0.5, 1))
+    with pytest.raises(ValueError):
+        lattice_points(2, (0.5, 1))
 
 
 def test_lattice_point_counts_match_dimension():

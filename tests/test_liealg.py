@@ -8,13 +8,12 @@ import pytest
 from sympbw.liealg import (
     Root,
     bar,
-    cartan_element,
     det,
-    in_symplectic_algebra,
     jpos,
     make_root,
-    mat_bracket,
+    mat_add,
     mat_mul,
+    mat_scale,
     matrix_minor,
     positive_roots,
     rank,
@@ -115,6 +114,23 @@ def test_root_vector_matrices_n2():
     assert root_vector_matrix(2, Root(2, 2, False)) == e(3, 2)
 
 
+def in_symplectic_algebra(n, mat):
+    """True iff mat^T Psi + Psi mat = 0."""
+    psi = symplectic_form(n)
+    lhs = mat_add(mat_mul(transpose(mat), psi), mat_mul(psi, mat))
+    return all(all(x == 0 for x in row) for row in lhs)
+
+
+def cartan_element(n, coeffs):
+    """diag(t_1, ..., t_n, -t_n, ..., -t_1) for coeffs = (t_1, ..., t_n)."""
+    size = 2 * n
+    mat = [[0] * size for _ in range(size)]
+    for i, t in enumerate(coeffs):
+        mat[i][i] = t
+        mat[size - 1 - i][size - 1 - i] = -t
+    return mat
+
+
 def test_root_vectors_lie_in_the_algebra():
     for n in range(1, 5):
         for a in positive_roots(n):
@@ -122,15 +138,16 @@ def test_root_vectors_lie_in_the_algebra():
 
 
 def test_root_vector_weight_matches_cartan_action():
+    # [h, f_alpha] = -alpha(h) f_alpha for h = diag(t, -t reversed)
     for n in (2, 3):
         for a in positive_roots(n):
             f = root_vector_matrix(n, a)
             wt = root_vector_weight(n, a)
             for trial in range(n):
-                coeffs = [Fraction(1 + ((trial + i) % n)) for i in range(n)]
+                coeffs = [1 + ((trial + i) % n) for i in range(n)]
                 h = cartan_element(n, coeffs)
                 expected = sum(c * w for c, w in zip(coeffs, wt))
-                bracket = mat_bracket(h, f)
+                bracket = mat_add(mat_mul(h, f), mat_scale(-1, mat_mul(f, h)))
                 assert bracket == [[expected * v for v in row] for row in f]
 
 
@@ -165,6 +182,9 @@ def test_weyl_dimension_rejects_bad_input():
         weyl_dimension(2, (1,))
     with pytest.raises(ValueError):
         weyl_dimension(2, (-1, 0))
+    for n, m in ((1, (0.5,)), (2, (1.0, 1)), (2, (True, 1))):
+        with pytest.raises(ValueError):
+            weyl_dimension(n, m)
 
 
 def test_matrix_minor_small():

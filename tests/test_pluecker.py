@@ -5,19 +5,14 @@ import pytest
 from sympbw.pluecker import (
     column_to_minor,
     computed_minor,
-    is_admissible,
     is_reverse_admissible,
     minor_parts,
-    minor_to_column,
     normalize_index,
     pbw_degree_index,
-    pbw_degree_minor,
     pbw_fill,
     poly_add,
     poly_canonical,
-    poly_from_json,
     poly_frozen,
-    poly_mul,
     poly_scale,
     poly_term,
     poly_to_json,
@@ -60,25 +55,24 @@ def test_minor_parts_and_computed_minor():
 
 
 ADMISSIBILITY_N2 = {
-    # (I2, I1) -> (reverse admissible, admissible)
-    ((), (1,)): (True, True),
-    ((), (2,)): (True, True),
-    ((), (1, 2)): (True, True),
-    ((1,), ()): (True, True),
-    ((2,), ()): (True, True),
-    ((1,), (1,)): (False, True),
-    ((1,), (2,)): (True, True),
-    ((2,), (1,)): (True, True),
-    ((2,), (2,)): (True, False),
-    ((1, 2), ()): (True, True),
+    # (I2, I1) -> reverse admissible
+    ((), (1,)): True,
+    ((), (2,)): True,
+    ((), (1, 2)): True,
+    ((1,), ()): True,
+    ((2,), ()): True,
+    ((1,), (1,)): False,
+    ((1,), (2,)): True,
+    ((2,), (1,)): True,
+    ((2,), (2,)): True,
+    ((1, 2), ()): True,
 }
 
 
 def test_admissibility_table_n2():
-    for (i2, i1), (rev, adm) in ADMISSIBILITY_N2.items():
+    for (i2, i1), rev in ADMISSIBILITY_N2.items():
         m = (set(i2), set(i1))
         assert is_reverse_admissible(2, m) == rev, m
-        assert is_admissible(2, m) == adm, m
 
 
 def test_admissibility_diagonal_n4():
@@ -110,7 +104,7 @@ def test_minor_column_bijection():
                     for i1 in itertools.combinations(range(1, n + 1), k - i2_size):
                         minors.append((set(i2), set(i1)))
             ra = [m for m in minors if is_reverse_admissible(n, m)]
-            cols = [minor_to_column(n, m) for m in ra]
+            cols = [pbw_fill(computed_minor(n, m)) for m in ra]
             # reverse-admissible minors fill to symplectic columns, bijectively
             for m, col in zip(ra, cols):
                 assert is_symplectic_column(n, pbw_fill(col))
@@ -119,7 +113,7 @@ def test_minor_column_bijection():
             # non-reverse-admissible minors land on non-symplectic fills
             for m in minors:
                 if not is_reverse_admissible(n, m):
-                    col = minor_to_column(n, m)
+                    col = pbw_fill(computed_minor(n, m))
                     assert not is_symplectic_column(n, pbw_fill(col))
 
 
@@ -127,8 +121,6 @@ def test_pbw_degrees():
     assert pbw_degree_index(2, (1, 2)) == 0
     assert pbw_degree_index(2, (1, 4)) == 1
     assert pbw_degree_index(2, (3, 4)) == 2
-    assert pbw_degree_minor(4, ({1, 2}, {1, 2})) == 2
-    assert pbw_degree_minor(2, (set(), {1, 2})) == 0
 
 
 def test_poly_arithmetic():
@@ -136,8 +128,6 @@ def test_poly_arithmetic():
     q = poly_term(-2, [(3,), (1, 2)])
     assert poly_add(p, q) == {}
     assert poly_scale(3, p) == poly_term(6, [(1, 2), (3,)])
-    prod = poly_mul(poly_term(1, [(1,)]), poly_add(poly_term(1, [(2,)]), poly_term(5, [(3,)])))
-    assert prod == poly_add(poly_term(1, [(1,), (2,)]), poly_term(5, [(1,), (3,)]))
     assert poly_term(0, [(1,)]) == {}
 
 
@@ -154,9 +144,9 @@ def test_poly_canonical_and_frozen():
     assert poly_frozen(p) != poly_frozen(poly_term(1, [(1,)]))
 
 
-def test_poly_json_roundtrip():
+def test_poly_to_json():
     p = poly_add(poly_term(3, [(1, 2), (3,)]), poly_term(-1, [(1, 4)], s_deg=2))
-    data = poly_to_json(p)
-    assert poly_from_json(data) == p
-    for term in data:
-        assert isinstance(term["coeff"], str)
+    assert poly_to_json(p) == [
+        {"coeff": "-1", "s_deg": 2, "vars": [{"k": 2, "J": [1, 4]}]},
+        {"coeff": "3", "s_deg": None, "vars": [{"k": 1, "J": [3]}, {"k": 2, "J": [1, 2]}]},
+    ]

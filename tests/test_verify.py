@@ -258,6 +258,13 @@ def test_isotropy_projection():
     assert not check_isotropy_projection(sample_classical_flag(2, 0), 1)
 
 
+@pytest.mark.parametrize("sample", [sample_classical_flag, sample_degenerate_point])
+@pytest.mark.parametrize("n", [0, -1])
+def test_samplers_refuse_a_rank_below_one(sample, n):
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        sample(n, 1)
+
+
 @pytest.mark.parametrize("k", [0, 4, -1])
 def test_isotropy_projection_refuses_a_level_the_point_lacks(k):
     with pytest.raises(ValueError, match="level k must be in 1..3"):
