@@ -17,7 +17,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .fflv import dyck_paths, fflv_inequalities, lattice_points, multiexp_from_json, multiexp_to_json
-from .liealg import bar, positive_roots
+from .liealg import bar, check_weight, positive_roots
 from .correspondence import monomial_to_tableau, tableau_to_monomial
 from .relations import generate_ideal, relation_text
 from .pluecker import poly_to_json
@@ -35,15 +35,15 @@ from .verify import (
 
 
 def _parse_lambda(value, n):
-    parts = value.split(",")
-    if len(parts) != n:
-        raise ValueError(f"--lambda needs {n} comma-separated entries, got {len(parts)}")
+    """``--lambda`` as a weight: parsed here, validated by liealg.check_weight."""
     try:
-        lam = tuple(int(x) for x in parts)
+        lam = tuple(int(x) for x in value.split(","))
     except ValueError:
         raise ValueError(f"--lambda needs {n} comma-separated integers, got {value!r}") from None
-    if any(x < 0 for x in lam):
-        raise ValueError("--lambda entries must be nonnegative")
+    try:
+        check_weight(n, lam)
+    except ValueError:
+        raise ValueError(f"--lambda needs {n} comma-separated nonnegative integers, got {value!r}") from None
     return lam
 
 

@@ -10,8 +10,9 @@ with ``bar(i) = 2n + 1 - i``.  Positive roots of type C_n come in two shapes,
 
 and alpha_{i,n} = alpha_{i,nbar} = eps_i + eps_n is a single root (stored
 unbarred).  Matrices are plain lists of lists of ints; rows and columns are
-0-indexed in storage, 1-indexed in formulas.  Determinants, minors and ranks
-come from one fraction-free (Bareiss) elimination, so they stay in ``int``.
+0-indexed in storage, 1-indexed in formulas.  Ranks come from fraction-free
+(Bareiss) elimination, so they stay in ``int``; the point samplers in
+``verify`` read their minors by cofactor expansion instead.
 """
 
 from typing import NamedTuple
@@ -242,20 +243,6 @@ def _bareiss(mat):
     return found, sign * prev
 
 
-def det(mat):
-    """Exact determinant of a square integer matrix."""
-    found, d = _bareiss(mat)
-    return d if found == len(mat) else 0
-
-
 def rank(vectors):
     """Exact rank of a list of integer vectors of one length."""
     return _bareiss(vectors)[0]
-
-
-def matrix_minor(mat, row_set, col_set):
-    """Determinant of the submatrix on the given 1-indexed row/column index sets."""
-    rows = sorted(row_set)
-    cols = sorted(col_set)
-    sub = [[mat[r - 1][c - 1] for c in cols] for r in rows]
-    return det(sub)

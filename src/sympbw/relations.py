@@ -22,6 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 import itertools
+from operator import attrgetter
 
 from .pluecker import (
     _sort_sign,
@@ -413,6 +414,12 @@ def generate_ideal(n, kind):
                                  f"({','.join(map(names.__getitem__, image[J]))})}}{suffix}")
                         out.append(Relation(r_kind, label, tuple(map(terms.__getitem__, frozen))))
     # by least level, then polynomial: every term of a relation has the same
-    # levels, and its first variable is its lowest, so poly[0][0][1][0] has the least
-    out.sort(key=lambda r: (len(r.poly[0][0][1][0]), r.poly))
-    return out
+    # levels, and its first variable is its lowest, so poly[0][0][1][0] has the least.
+    # That key starts with the first term's (level, power of s, first variable):
+    # sort the groups by that start and compare whole polynomials only within one.
+    groups = {}
+    for r in out:
+        s, vars_ = r.poly[0][0]
+        groups.setdefault((len(vars_[0]), s or 0, vars_[0]), []).append(r)
+    by_poly = attrgetter("poly")
+    return [r for start in sorted(groups) for r in sorted(groups[start], key=by_poly)]

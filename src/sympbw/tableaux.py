@@ -91,31 +91,12 @@ def _semistandard_step(prev_col, col):
     return True
 
 
-def is_symplectic_pbw(n, tab):
-    """True iff every column separately satisfies the symplectic column conditions."""
-    cols = validate_tableau(n, tab)
-    return all(is_symplectic_column(n, col) for col in cols)
-
-
 def is_symplectic_pbw_semistandard(n, tab):
     """Symplectic PBW columns plus the semistandard condition between neighbours."""
     cols = validate_tableau(n, tab)
     if not all(is_symplectic_column(n, col) for col in cols):
         return False
     return all(_semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1))
-
-
-def is_pbw_semistandard_typeA(n2, tab):
-    """PBW semistandardness for gl(n2) tableaux over the alphabet 1..n2.
-
-    Per column: conditions (i) and (ii) of ``_moved_entries_ok``; between
-    columns: the same domination condition as in the symplectic case.  No
-    symplectic pair condition.
-    """
-    cols = _validate_columns(tab, n2, n2)  # a taller column would break condition (i)
-    return all(_moved_entries_ok(col) for col in cols) and all(
-        _semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1)
-    )
 
 
 @lru_cache(maxsize=1 << 10)

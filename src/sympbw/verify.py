@@ -6,12 +6,16 @@ orbit through the highest-weight flag) and on its PBW degeneration
 random lowering matrix F), then checks generated relations, projection
 geometry, enumeration counts, and the monomial/tableau bijection against
 them.  Both samplers read every Pluecker coordinate as a minor of integer
-spanning columns, one route per point.  All arithmetic is exact, in ``int``.
+spanning columns, one route per point: all minors of a level at once, by
+cofactor expansion.  Both relation checks walk each relation once over a
+table of every variable's values at all points.  All arithmetic is exact,
+in ``int``.
 """
 
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import add, mul
 
 from .correspondence import monomial_to_tableau, monomial_weight, tableau_to_monomial
 from .fflv import lattice_points, multiexp_to_json
@@ -20,7 +24,6 @@ from .liealg import (
     mat_add,
     mat_mul,
     mat_scale,
-    matrix_minor,
     positive_roots,
     rank,
     root_vector_matrix,
@@ -28,7 +31,7 @@ from .liealg import (
     transpose,
     weyl_dimension,
 )
-from .relations import term_pbw_degree
+from .pluecker import pbw_degree_index
 from .tableaux import enumerate_tableaux, tableau_weight
 
 
@@ -66,6 +69,21 @@ class FlagPoint:
         return {"n": self.n, "kind": self.kind, "seed": self.seed, "levels": levels}
 
 
+def _minors(vectors, size):
+    """Every k x k minor of the size x k matrix with the k given columns, by
+    row set J (sorted, 1-indexed) in lexicographic order.
+
+    Cofactor expansion along the newest column, one column at a time: the
+    j-minor on J is sum_i (-1)^(i+j) col_j[J_i] * minor(J - J_i), the
+    (j-1)-minors read off the first j - 1 columns.
+    """
+    minors = {(): 1}
+    for j, col in enumerate(vectors):
+        minors = {J: sum((-1) ** (i + j) * col[r - 1] * minors[J[:i] + J[i + 1:]] for i, r in enumerate(J))
+                  for J in itertools.combinations(range(1, size + 1), j + 1)}
+    return minors
+
+
 def _point_from_columns(n, columns, kind, seed):
     """Read all Pluecker coordinates off per-level spanning columns.
 
@@ -73,10 +91,7 @@ def _point_from_columns(n, columns, kind, seed):
     """
     coords = {}
     for k in range(1, n + 1):
-        mat = [[columns[k][c][r] for c in range(k)] for r in range(2 * n)]
-        table = {}
-        for J in itertools.combinations(range(1, 2 * n + 1), k):
-            table[J] = matrix_minor(mat, J, tuple(range(1, k + 1)))
+        table = _minors(columns[k], 2 * n)
         assert any(table.values()), f"level {k} has no nonzero coordinate"
         coords[k] = table
     return FlagPoint(n=n, kind=kind, seed=seed, coords=coords, bases=columns)
@@ -150,21 +165,58 @@ def _check_kinds(relations, ring, points, point_kind):
             raise ValueError(f"kind mismatch: {point.kind} point, expected {point_kind}")
 
 
-def _evaluate(terms, flat):
-    """The sum of frozen terms at the values flat; KeyError for a missing variable."""
-    value = 0
-    for (_, vars_), coeff in terms:
-        for J in vars_:
-            coeff *= flat[J]
-        value += coeff
-    return value
+def _failures(relations, points, graded, nonzero):
+    """The failures of the relations at the points, point by point.
+
+    One table maps every Pluecker index J to its PBW degree deg J (0 unless
+    graded) and its values at all points, so each relation is walked once
+    and each variable looked up once for all points.  The term
+    c * s^a * X_J1 ... X_Jr adds to the sums at power a - deg J1 - ... - deg Jr
+    of s (power 0 unless graded).  nonzero(sums, p) gives the failure
+    fields at point p, if any, from sums = {power: [sum at each point]}.
+    ValueError for points of different n or a variable the points lack.
+    """
+    if not points:
+        return [{"error": "no points were sampled"}]
+    if len({point.n for point in points}) > 1:
+        raise ValueError(f"points of different n: {sorted({point.n for point in points})}")
+    flats = [point.flat() for point in points]
+    at_points = range(len(points))
+    found = [[] for _ in points]  # the failures at each point
+    try:
+        table = {J: (pbw_degree_index(len(J), J) if graded else 0, [flat[J] for flat in flats])
+                 for J in flats[0]}
+        for rel in relations:
+            sums = {}
+            for (s, vars_), coeff in rel.poly:
+                power = (s or 0) if graded else 0
+                if len(vars_) == 2:  # every exchange relation; half the time of the loop below
+                    (degree_a, at_a), (degree_b, at_b) = table[vars_[0]], table[vars_[1]]
+                    acc = sums.setdefault(power - degree_a - degree_b, [0] * len(points))
+                    for p in at_points:
+                        acc[p] += coeff * at_a[p] * at_b[p]
+                    continue
+                values = [coeff] * len(points)
+                for J in vars_:
+                    degree, at = table[J]
+                    power -= degree
+                    values = list(map(mul, values, at))
+                sums[power] = list(map(add, sums.get(power, [0] * len(points)), values))
+            if any(map(any, sums.values())):
+                for p, (point, at_point) in enumerate(zip(points, found)):
+                    if fields := nonzero(sums, p):
+                        at_point.append({"relation": rel.label, "seed": point.seed, **fields})
+    except KeyError as exc:
+        raise ValueError(f"no value for variable X_{exc.args[0]}") from None
+    return [failure for at_point in found for failure in at_point]
 
 
 def check_vanishing(relations, points):
     """Evaluate every relation at every point; report nonzero values.
 
     Relation and point kinds must match ("s-family" relations carry a formal
-    variable and are checked by check_s_bridge instead).  With no points
+    variable and are checked by check_s_bridge instead), and the points
+    must share one n.  Failures are listed point by point.  With no points
     nothing is checked, and the report fails rather than passing vacuously.
     """
     if points:
@@ -174,24 +226,10 @@ def check_vanishing(relations, points):
     if kind == "s":
         raise ValueError("s-family relations are checked by check_s_bridge")
     _check_kinds(relations, kind, points, kind)
-    failures = []
-    checked = 0
-    try:
-        for point in points:
-            flat = point.flat()
-            for rel in relations:
-                value = _evaluate(rel.poly, flat)
-                checked += 1
-                if value:
-                    failures.append(
-                        {"relation": rel.label, "seed": point.seed, "value": str(value)}
-                    )
-    except KeyError as exc:
-        raise ValueError(f"no value for variable X_{exc.args[0]}") from None
-    if not points:
-        failures.append({"error": "no points were sampled"})
+    failures = _failures(relations, points, False,
+                         lambda sums, p: sums[0][p] and {"value": str(sums[0][p])})
     return {"suite": f"{kind}-ideal" if kind else "vanishing",
-            "checked": checked, "failures": failures, "ok": not failures}
+            "checked": len(relations) * len(points), "failures": failures, "ok": not failures}
 
 
 def check_s_bridge(relations, points):
@@ -199,31 +237,18 @@ def check_s_bridge(relations, points):
 
     For a classical point x, substituting y_J = s^(-deg J) * x_J into an
     s-graded relation must give the zero Laurent polynomial in s: the
-    coefficient of each power of s is summed exactly and must cancel.  Each
-    relation's terms are grouped by power of s once (a generated s-relation
-    has one group, minus its lowest PBW degree), and each group is summed at
-    every point.  Failures are listed point by point.  With no points
-    nothing is checked, and the report fails.
+    coefficient of each power of s is summed exactly and must cancel (a
+    generated s-relation has one power, minus its lowest PBW degree).  The
+    points must share one n.  Failures are listed point by point.  With no
+    points nothing is checked, and the report fails.
     """
     _check_kinds(relations, "s", points, "classical")
-    flats = [point.flat() for point in points]
-    found = [[] for _ in points]  # the failures at each point
-    try:
-        for rel in relations:
-            groups = {}
-            for term in rel.poly:
-                key = term[0]
-                groups.setdefault((key[0] or 0) - term_pbw_degree(key), []).append(term)
-            for point, flat, at_point in zip(points, flats, found):
-                bad = {power: str(value) for power, terms in groups.items()
-                       if (value := _evaluate(terms, flat))}
-                if bad:
-                    at_point.append({"relation": rel.label, "seed": point.seed, "nonzero": bad})
-    except KeyError as exc:
-        raise ValueError(f"no value for variable X_{exc.args[0]}") from None
-    failures = [failure for at_point in found for failure in at_point]
-    if not points:
-        failures.append({"error": "no points were sampled"})
+
+    def nonzero(sums, p):
+        bad = {power: str(values[p]) for power, values in sums.items() if values[p]}
+        return bad and {"nonzero": bad}
+
+    failures = _failures(relations, points, True, nonzero)
     return {"suite": "s-family", "checked": len(relations) * len(points),
             "failures": failures, "ok": not failures}
 

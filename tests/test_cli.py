@@ -369,6 +369,8 @@ def test_reader_closing_stdout_during_a_streamed_json_answer():
     (("to-monomial", "--tableau", '{"columns": [[1, 2], [1]]}'), "a tableau is"),
     # --lambda is named, with the shape it takes
     (("polytope", "--lambda", "1,x"), "--lambda needs 2 comma-separated integers, got '1,x'"),
+    (("polytope", "--lambda", "1,-1"), "--lambda needs 2 comma-separated nonnegative integers, got '1,-1'"),
+    (("polytope", "--lambda", "1"), "--lambda needs 2 comma-separated nonnegative integers, got '1'"),
 ])
 def test_malformed_input_shape_is_a_json_error(capsys, argv, expected):
     code, out, err = run(capsys, argv[0], "--n", "2", *argv[1:])

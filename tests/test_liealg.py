@@ -7,14 +7,13 @@ import pytest
 
 from sympbw.liealg import (
     Root,
+    _bareiss,
     bar,
-    det,
     jpos,
     make_root,
     mat_add,
     mat_mul,
     mat_scale,
-    matrix_minor,
     positive_roots,
     rank,
     root_from_dict,
@@ -185,6 +184,21 @@ def test_weyl_dimension_rejects_bad_input():
     for n, m in ((1, (0.5,)), (2, (1.0, 1)), (2, (True, 1))):
         with pytest.raises(ValueError):
             weyl_dimension(n, m)
+
+
+def det(mat):
+    """Exact determinant of a square integer matrix, by Bareiss elimination."""
+    found, d = _bareiss(mat)
+    return d if found == len(mat) else 0
+
+
+def matrix_minor(mat, row_set, col_set):
+    """Determinant of the submatrix on the given 1-indexed row/column index sets.
+
+    The oracle of the point samplers' minors (tests/test_verify.py).
+    """
+    sub = [[mat[r - 1][c - 1] for c in sorted(col_set)] for r in sorted(row_set)]
+    return det(sub)
 
 
 def test_matrix_minor_small():

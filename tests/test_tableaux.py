@@ -8,9 +8,7 @@ from sympbw.tableaux import (
     enumerate_tableaux,
     entry_str,
     highest_weight_tableau,
-    is_pbw_semistandard_typeA,
     is_symplectic_column,
-    is_symplectic_pbw,
     is_symplectic_pbw_semistandard,
     partition_from_m,
     tableau_from_json,
@@ -18,7 +16,10 @@ from sympbw.tableaux import (
     tableau_to_json,
     tableau_weight,
     validate_tableau,
+    _moved_entries_ok,
+    _semistandard_step,
     _symplectic_columns,
+    _validate_columns,
 )
 
 from test_liealg import DIMENSIONS
@@ -60,6 +61,25 @@ def test_partition_helpers():
 
 def test_census_n2_sixteen():
     assert set(enumerate_tableaux(2, (1, 1))) == SIXTEEN
+
+
+def is_symplectic_pbw(n, tab):
+    """True iff every column separately satisfies the symplectic column conditions."""
+    cols = validate_tableau(n, tab)
+    return all(is_symplectic_column(n, col) for col in cols)
+
+
+def is_pbw_semistandard_typeA(n2, tab):
+    """PBW semistandardness for gl(n2) tableaux over the alphabet 1..n2.
+
+    Per column: conditions (i) and (ii) of ``_moved_entries_ok``; between
+    columns: the same domination condition as in the symplectic case.  No
+    symplectic pair condition.
+    """
+    cols = _validate_columns(tab, n2, n2)  # a taller column would break condition (i)
+    return all(_moved_entries_ok(col) for col in cols) and all(
+        _semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1)
+    )
 
 
 def test_census_rejects_non_semistandard():

@@ -22,7 +22,7 @@ from sympbw.verify import (
     sample_degenerate_point,
 )
 
-from test_liealg import DIMENSIONS
+from test_liealg import DIMENSIONS, matrix_minor
 
 
 def load_schema(name):
@@ -171,6 +171,22 @@ def test_degenerate_sampler_matches_the_wedge_operator_oracle(n):
             expected = {J: vec.get(J, 0) for J in itertools.combinations(range(1, 2 * n + 1), k)}
             assert point.coords[k] == expected, (n, seed, k)
             assert all(type(v) is int for v in point.coords[k].values())
+
+
+@pytest.mark.parametrize("sample", [sample_classical_flag, sample_degenerate_point])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_expansion_minors_match_bareiss(sample, n):
+    # every coordinate the cofactor expansion reads equals the Bareiss minor
+    # of the sampler's own spanning columns
+    for seed in range(5):
+        point = sample(n, seed)
+        for k in range(1, n + 1):
+            columns = point.bases[k]
+            mat = [[columns[c][r] for c in range(k)] for r in range(2 * n)]
+            expected = {J: matrix_minor(mat, J, range(1, k + 1))
+                        for J in itertools.combinations(range(1, 2 * n + 1), k)}
+            assert point.coords[k] == expected, (n, seed, k)
+            assert list(point.coords[k]) == list(expected)  # lexicographic, as FlagPoint.flat reads
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -395,6 +411,24 @@ def test_s_bridge_sums_mixed_powers_separately():
     assert report["failures"] == expected and report["checked"] == 6
 
 
+def test_checks_evaluate_products_of_any_length():
+    # generated terms have one or two variables, which take different paths
+    # through the evaluator; a term of three variables takes the general one
+    points = [sample_classical_flag(2, seed) for seed in range(3)]
+    terms = {((3,),): 2, ((1,), (2, 3)): -1, ((2,), (1, 3), (2, 4)): 3}
+    plain = Relation("pluecker", "r", poly_frozen({(None, v): c for v, c in terms.items()}))
+    graded = Relation("s_family", "r", poly_frozen({(0, v): c for v, c in terms.items()}))
+    values = [poly_eval(dict(plain.poly), point.flat()) for point in points]
+    buckets = [_s_buckets(graded.poly, point.flat()) for point in points]
+    assert all(values) and all(buckets)
+    assert check_vanishing([plain], points)["failures"] == [
+        {"relation": "r", "seed": point.seed, "value": str(value)}
+        for point, value in zip(points, values)]
+    assert check_s_bridge([graded], points)["failures"] == [
+        {"relation": "r", "seed": point.seed, "nonzero": nonzero}
+        for point, nonzero in zip(points, buckets)]
+
+
 def test_checks_refuse_a_variable_the_point_lacks():
     point = sample_classical_flag(2, 0)
     too_high = ((1, 2, 3),)  # level 3 does not exist at n = 2
@@ -417,6 +451,19 @@ def test_checks_refuse_mismatched_kinds():
         check_s_bridge(generate_ideal(2, "degenerate"), [classical])
     with pytest.raises(ValueError):
         check_s_bridge(s_family, [classical, degenerate])
+
+
+def test_checks_refuse_points_of_different_n():
+    # the value table has one index set: points of two ranks are refused,
+    # not evaluated at indices one of them lacks
+    mixed = [sample_classical_flag(2, 0), sample_classical_flag(3, 0)]
+    with pytest.raises(ValueError, match="points of different n"):
+        check_s_bridge(generate_ideal(2, "s-family"), mixed)
+    with pytest.raises(ValueError, match="points of different n"):
+        check_vanishing(generate_ideal(2, "classical"), mixed)
+    with pytest.raises(ValueError, match="points of different n"):
+        check_vanishing(generate_ideal(2, "degenerate"),
+                        [sample_degenerate_point(3, 0), sample_degenerate_point(2, 0)])
 
 
 @pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
