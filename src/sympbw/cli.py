@@ -6,8 +6,9 @@ straighten, verify.  Output is plain text by default and JSON with
 A JSON answer is byte-identical to ``json.dumps(answer, indent=2)`` (2-space
 indent, non-ASCII as ``\\u`` escapes, keys in build order), streamed to the
 output in pieces; an error is one compact JSON line on stderr.
-Exit codes: 0 success, 1 domain error or failed verification (machine-readable
-JSON on stderr) or a reader that closed stdout early, 2 usage error.
+Exit codes: 0 success, 1 domain error, exhausted memory or failed verification
+(machine-readable JSON on stderr) or a reader that closed stdout early, 2 usage
+error.
 """
 
 import argparse
@@ -415,6 +416,9 @@ def main(argv=None):
                 _write_answer(answer, fh.write)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 1
+    except MemoryError:  # a backstop for inputs no size check refuses yet
+        print(json.dumps({"error": "out of memory"}), file=sys.stderr)
         return 1
     if not args.out:
         try:

@@ -16,6 +16,9 @@ above level k exactly when r > c_k = |U & 1..k|, and every variable has
 level |L| or |J|.  So the cuts (c_|L|, c_|J|) alone fix each term's PBW
 degree, hence the degenerate component and the s-grading: they are built
 once per pattern and cut pair (see _kind_patterns) and relabelled.
+
+generate_ideal returns an Ideal, which relabels only when its list is
+asked for: its length and its blocks (U, patterns) come from the patterns.
 """
 
 from bisect import bisect_right
@@ -339,7 +342,7 @@ class _TermImage(dict):
     """Pattern term -> the same term on the rows of U, built on first use.
 
     A term recurs in about three relations over U on average.  Sharing one
-    tuple per term divides the objects generate_ideal allocates, and so the
+    tuple per term divides the objects an Ideal's list allocates, and so the
     garbage collector's work, by about that factor.
     """
 
@@ -362,6 +365,101 @@ _KINDS = {
 }
 
 
+def _shapes(n):
+    """(|L|, |J|, |L u J|) of every exchange pattern at rank n, |L| >= |J|."""
+    for p_len in range(1, n + 1):
+        for q_len in range(1, p_len + 1):
+            # |L u J| = |L| would put J[:t] inside L for every t
+            for size in range(p_len + 1, min(p_len + q_len, 2 * n) + 1):
+                yield p_len, q_len, size
+
+
+class Ideal:
+    """The generating set of generate_ideal: its S-relations, and its
+    exchange relations as order patterns until the list is asked for.
+
+    len() counts the _kind_patterns entry of every row set U, and blocks()
+    gives each U's patterns with the map from pattern variables to indices
+    over U, so a check can evaluate every relation without relabelling,
+    labelling or sorting one.  Item access, iteration and == build the
+    canonical sorted list of Relation once and keep it.
+    """
+
+    def __init__(self, n, kind, s_relations):
+        self.n = n
+        self.kind = kind
+        self.ring = "s" if kind == "s-family" else kind  # Relation.ring of every member
+        self.s_relations = s_relations
+        self._size = None
+        self._list = None
+
+    def blocks(self):
+        """(image, patterns) for every shape (p, q, m) and m-subset U of 1..2n.
+
+        image maps every variable of _exchange_patterns(p, q, m) to its index
+        over U, one tuple object per index; patterns is the _kind_patterns
+        entry for U's cuts.  Relabelled by image, the patterns are this
+        ideal's exchange relations over U (see generate_ideal).
+        """
+        rows = range(1, 2 * self.n + 1)
+        indices = {}  # one tuple object per Pluecker index, shared by every block
+        for p_len, q_len, size in _shapes(self.n):
+            variables = {var for *_, frozen in _exchange_patterns(p_len, q_len, size)
+                         for (_, vars_), _c in frozen for var in vars_}
+            for U in itertools.combinations(rows, size):
+                phi = (None,) + U
+                image = {}
+                for var in variables:
+                    index = tuple([phi[r] for r in var])
+                    image[var] = indices.setdefault(index, index)
+                cuts = (bisect_right(U, p_len), bisect_right(U, q_len))
+                yield image, _kind_patterns(p_len, q_len, size, self.kind, cuts)
+
+    def __len__(self):
+        if self._size is None:
+            rows = range(1, 2 * self.n + 1)
+            self._size = len(self.s_relations) + sum(
+                len(_kind_patterns(p_len, q_len, size, self.kind,
+                                   (bisect_right(U, p_len), bisect_right(U, q_len))))
+                for p_len, q_len, size in _shapes(self.n)
+                for U in itertools.combinations(rows, size))
+        return self._size
+
+    def _relations(self):
+        """The canonical sorted list of Relation, built on the first call."""
+        if self._list is not None:
+            return self._list
+        _, _, r_kind, suffix = _KINDS[self.kind]
+        names = {r: entry_str(self.n, r) for r in range(1, 2 * self.n + 1)}
+        out = list(self.s_relations)
+        for image, patterns in self.blocks():
+            terms = _TermImage(image)
+            for L, J, t, frozen in patterns:
+                label = (f"R^{t}_{{({','.join(map(names.__getitem__, image[L]))}),"
+                         f"({','.join(map(names.__getitem__, image[J]))})}}{suffix}")
+                out.append(Relation(r_kind, label, tuple(map(terms.__getitem__, frozen))))
+        # by least level, then polynomial: every term of a relation has the same
+        # levels, and its first variable is its lowest, so poly[0][0][1][0] has the least.
+        # That key starts with the first term's (level, power of s, first variable):
+        # sort the groups by that start and compare whole polynomials only within one.
+        groups = {}
+        for r in out:
+            s, vars_ = r.poly[0][0]
+            groups.setdefault((len(vars_[0]), s or 0, vars_[0]), []).append(r)
+        by_poly = attrgetter("poly")
+        self._list = [r for start in sorted(groups) for r in sorted(groups[start], key=by_poly)]
+        return self._list
+
+    def __getitem__(self, index):
+        return self._relations()[index]
+
+    def __iter__(self):
+        return iter(self._relations())
+
+    def __eq__(self, other):
+        return self._relations() == other
+
+
 def generate_ideal(n, kind):
     """Canonical deduplicated generating set, kind in {classical, degenerate, s-family}.
 
@@ -379,47 +477,23 @@ def generate_ideal(n, kind):
     U uses each row of U, so relations over different (p, q, U) never
     coincide, and none is linear like a symplectic relation: only the
     symplectic relations need a dedup across the whole set.
+
+    The answer is an Ideal: the S-relations are built here, and the
+    exchange relations stay patterns.  Its length is counted from the
+    patterns without relabelling; the sorted list of Relation is built on
+    first item access, iteration or ==, and kept.  verify checks an Ideal
+    by pattern (see Ideal.blocks) and reads the list only on a failure.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind: {kind!r}")
-    transform, s_kind, r_kind, suffix = _KINDS[kind]
+    transform, s_kind, _, suffix = _KINDS[kind]
     seen = set()
-    out = []
+    s_relations = []
     for m in _all_minors(n):
         if not is_reverse_admissible(n, m):
             poly = poly_frozen(transform(symplectic_relation(n, m)))
             if poly not in seen:
                 seen.add(poly)
                 label = f"S_{{({_index_str(n, computed_minor(n, m))})}}{suffix}"
-                out.append(Relation(s_kind, label, poly))
-    rows = range(1, 2 * n + 1)
-    names = {r: entry_str(n, r) for r in rows}
-    indices = {}  # one tuple object per Pluecker index, shared by every relation
-    for p_len in range(1, n + 1):
-        for q_len in range(1, p_len + 1):
-            # |L u J| = |L| would put J[:t] inside L for every t
-            for size in range(p_len + 1, min(p_len + q_len, 2 * n) + 1):
-                variables = {var for *_, frozen in _exchange_patterns(p_len, q_len, size)
-                             for (_, vars_), _c in frozen for var in vars_}
-                for U in itertools.combinations(rows, size):
-                    cuts = (bisect_right(U, p_len), bisect_right(U, q_len))
-                    phi = (None,) + U
-                    image = {}
-                    for var in variables:
-                        index = tuple([phi[r] for r in var])
-                        image[var] = indices.setdefault(index, index)
-                    terms = _TermImage(image)
-                    for L, J, t, frozen in _kind_patterns(p_len, q_len, size, kind, cuts):
-                        label = (f"R^{t}_{{({','.join(map(names.__getitem__, image[L]))}),"
-                                 f"({','.join(map(names.__getitem__, image[J]))})}}{suffix}")
-                        out.append(Relation(r_kind, label, tuple(map(terms.__getitem__, frozen))))
-    # by least level, then polynomial: every term of a relation has the same
-    # levels, and its first variable is its lowest, so poly[0][0][1][0] has the least.
-    # That key starts with the first term's (level, power of s, first variable):
-    # sort the groups by that start and compare whole polynomials only within one.
-    groups = {}
-    for r in out:
-        s, vars_ = r.poly[0][0]
-        groups.setdefault((len(vars_[0]), s or 0, vars_[0]), []).append(r)
-    by_poly = attrgetter("poly")
-    return [r for start in sorted(groups) for r in sorted(groups[start], key=by_poly)]
+                s_relations.append(Relation(s_kind, label, poly))
+    return Ideal(n, kind, s_relations)

@@ -7,9 +7,13 @@ random lowering matrix F), then checks generated relations, projection
 geometry, enumeration counts, and the monomial/tableau bijection against
 them.  Both samplers read every Pluecker coordinate as a minor of integer
 spanning columns, one route per point: all minors of a level at once, by
-cofactor expansion.  Both relation checks walk each relation once over a
-table of every variable's values at all points.  All arithmetic is exact,
-in ``int``.
+cofactor expansion.  Both relation checks sum each relation's terms over a
+table of every variable's values at all points.  The Ideal of
+generate_ideal is checked by pattern: per row set U its pattern variables
+are looked up once and no relation is relabelled, labelled or sorted.
+Only a nonzero sum has its list built and walked, so failures are
+reported as for a plain list of relations.  All arithmetic is exact, in
+``int``.
 """
 
 import itertools
@@ -32,6 +36,7 @@ from .liealg import (
     weyl_dimension,
 )
 from .pluecker import pbw_degree_index
+from .relations import Ideal
 from .tableaux import enumerate_tableaux, tableau_weight
 
 
@@ -157,51 +162,91 @@ def sample_degenerate_point(n, seed):
 
 def _check_kinds(relations, ring, points, point_kind):
     """Raise ValueError unless every relation is in ring and every point of point_kind."""
-    for rel in relations:
-        if rel.ring != ring:
-            raise ValueError(f"kind mismatch: {rel.ring} relation, expected {ring}")
+    rings = [relations.ring] if isinstance(relations, Ideal) else (rel.ring for rel in relations)
+    for relation_ring in rings:
+        if relation_ring != ring:
+            raise ValueError(f"kind mismatch: {relation_ring} relation, expected {ring}")
     for point in points:
         if point.kind != point_kind:
             raise ValueError(f"kind mismatch: {point.kind} point, expected {point_kind}")
+
+
+def _sums(poly, table, graded, count):
+    """{power of s: [sum at each point]} of one relation over the value table."""
+    sums = {}
+    for (s, vars_), coeff in poly:
+        power = (s or 0) if graded else 0
+        values = [coeff] * count
+        for J in vars_:
+            degree, at = table[J]
+            power -= degree
+            values = list(map(mul, values, at))
+        sums[power] = list(map(add, sums.get(power, [0] * count), values))
+    return sums
+
+
+def _vanishes(ideal, table, graded, count):
+    """True if every relation of the Ideal has all sums zero, checked by pattern.
+
+    The S-relations go through _sums.  For each row set U of Ideal.blocks()
+    the pattern variables are looked up once, and each pattern's terms, of
+    two variables each, add into its sums: nothing is relabelled, labelled
+    or sorted.  Stops at the first nonzero sum.
+    """
+    for rel in ideal.s_relations:
+        if any(map(any, _sums(rel.poly, table, graded, count).values())):
+            return False
+    evaluated = len(ideal.s_relations)
+    at_points = range(count)
+    for image, patterns in ideal.blocks():
+        at = {var: table[J] for var, J in image.items()}
+        for *_, frozen in patterns:
+            sums = {}
+            for (s, (a, b)), coeff in frozen:
+                (degree_a, at_a), (degree_b, at_b) = at[a], at[b]
+                power = (s or 0) - degree_a - degree_b if graded else 0
+                acc = sums.setdefault(power, [0] * count)
+                for p in at_points:
+                    acc[p] += coeff * at_a[p] * at_b[p]
+            if any(map(any, sums.values())):
+                return False
+            evaluated += 1
+    assert evaluated == len(ideal), f"evaluated {evaluated} of {len(ideal)} relations"
+    return True
 
 
 def _failures(relations, points, graded, nonzero):
     """The failures of the relations at the points, point by point.
 
     One table maps every Pluecker index J to its PBW degree deg J (0 unless
-    graded) and its values at all points, so each relation is walked once
-    and each variable looked up once for all points.  The term
-    c * s^a * X_J1 ... X_Jr adds to the sums at power a - deg J1 - ... - deg Jr
-    of s (power 0 unless graded).  nonzero(sums, p) gives the failure
-    fields at point p, if any, from sums = {power: [sum at each point]}.
-    ValueError for points of different n or a variable the points lack.
+    graded) and its values at all points, so each variable is looked up once
+    for all points.  The term c * s^a * X_J1 ... X_Jr adds to the sums at
+    power a - deg J1 - ... - deg Jr of s (power 0 unless graded).  An Ideal
+    is first checked by pattern (_vanishes); only if that finds a nonzero
+    sum, or a missing value, is its list walked below, relation by relation,
+    so failures read the same whatever the relations came as.
+    nonzero(sums, p) gives the failure fields at point p, if any, from
+    sums = {power: [sum at each point]}.  ValueError for points of
+    different n or a variable the points lack.
     """
     if not points:
         return [{"error": "no points were sampled"}]
     if len({point.n for point in points}) > 1:
         raise ValueError(f"points of different n: {sorted({point.n for point in points})}")
     flats = [point.flat() for point in points]
-    at_points = range(len(points))
+    count = len(points)
     found = [[] for _ in points]  # the failures at each point
     try:
         table = {J: (pbw_degree_index(len(J), J) if graded else 0, [flat[J] for flat in flats])
                  for J in flats[0]}
+        if isinstance(relations, Ideal):
+            try:
+                if _vanishes(relations, table, graded, count):
+                    return []
+            except KeyError:
+                pass  # the walk below names the missing variable in list order
         for rel in relations:
-            sums = {}
-            for (s, vars_), coeff in rel.poly:
-                power = (s or 0) if graded else 0
-                if len(vars_) == 2:  # every exchange relation; half the time of the loop below
-                    (degree_a, at_a), (degree_b, at_b) = table[vars_[0]], table[vars_[1]]
-                    acc = sums.setdefault(power - degree_a - degree_b, [0] * len(points))
-                    for p in at_points:
-                        acc[p] += coeff * at_a[p] * at_b[p]
-                    continue
-                values = [coeff] * len(points)
-                for J in vars_:
-                    degree, at = table[J]
-                    power -= degree
-                    values = list(map(mul, values, at))
-                sums[power] = list(map(add, sums.get(power, [0] * len(points)), values))
+            sums = _sums(rel.poly, table, graded, count)
             if any(map(any, sums.values())):
                 for p, (point, at_point) in enumerate(zip(points, found)):
                     if fields := nonzero(sums, p):
@@ -221,7 +266,9 @@ def check_vanishing(relations, points):
     """
     if points:
         kind = points[0].kind
-    else:  # the ring the points would have come from
+    elif isinstance(relations, Ideal):  # the ring the points would have come from
+        kind = relations.ring if relations else None
+    else:
         kind = relations[0].ring if relations else None
     if kind == "s":
         raise ValueError("s-family relations are checked by check_s_bridge")

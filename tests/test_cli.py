@@ -239,6 +239,18 @@ def test_oversized_enumeration_is_refused(capsys, argv):
     }
 
 
+def test_memory_error_is_a_json_error(capsys, monkeypatch):
+    from sympbw import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "relations", exhausted)
+    code, out, err = run(capsys, "relations", "--n", "2", "--format", "json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "out of memory"}
+
+
 def test_usage_error_exit_2(capsys):
     with_missing = main(["to-tableau", "--n", "2", "--lambda", "1,1"])
     capsys.readouterr()

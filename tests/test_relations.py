@@ -357,6 +357,24 @@ def _per_triple_ideal(n, kind):
 
 
 @pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
+def test_ideal_length_is_counted_without_the_list(kind):
+    # len() of a fresh Ideal counts patterns per row set; the list it builds
+    # later, and the oracles, must have exactly that many relations
+    for n in range(1, 5):
+        oracle = _naive_ideal(n, kind) if n <= 3 else _per_triple_ideal(n, kind)
+        ideal = generate_ideal(n, kind)
+        assert len(ideal) == len(list(ideal)) == len(oracle), n
+
+
+def test_ideal_blocks_relabel_to_the_exchange_relations():
+    ideal = generate_ideal(3, "degenerate")
+    relabelled = {tuple(((s, tuple(image[var] for var in vars_)), c) for (s, vars_), c in poly)
+                  for image, patterns in ideal.blocks() for *_, poly in patterns}
+    assert relabelled == {r.poly for r in ideal if r.kind == "pluecker_degenerate"}
+    assert ideal.ring == "degenerate" and ideal == list(ideal)
+
+
+@pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
 def test_generate_ideal_matches_per_triple_loop_n4(kind):
     assert generate_ideal(4, kind) == _per_triple_ideal(4, kind)
 

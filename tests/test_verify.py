@@ -10,6 +10,7 @@ import pytest
 
 from sympbw.liealg import Root, positive_roots, root_vector_matrix, symplectic_form
 from sympbw.pluecker import pbw_degree_index, poly_add, poly_frozen
+from sympbw import relations
 from sympbw.relations import Relation, generate_ideal, poly_term, term_pbw_degree
 from sympbw.verify import (
     _random_coefficients,
@@ -436,6 +437,64 @@ def test_checks_refuse_a_variable_the_point_lacks():
         check_vanishing([Relation("pluecker", "r", (((None, too_high), 1),))], [point])
     with pytest.raises(ValueError, match="no value for variable"):
         check_s_bridge([Relation("s_family", "r", (((0, too_high), 1),))], [point])
+
+
+def _check_for(kind):
+    return check_s_bridge if kind == "s-family" else check_vanishing
+
+
+def _points_for(kind, n):
+    sample = sample_degenerate_point if kind == "degenerate" else sample_classical_flag
+    return [sample(n, seed) for seed in range(3)]
+
+
+@pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
+def test_ideal_passes_by_pattern_without_building_its_list(monkeypatch, kind):
+    def unbuilt(self):
+        raise AssertionError("the passing check built the relation list")
+
+    monkeypatch.setattr(relations.Ideal, "_relations", unbuilt)
+    ideal = generate_ideal(3, kind)
+    report = _check_for(kind)(ideal, _points_for(kind, 3))
+    assert report["ok"] and report["checked"] == len(ideal) * 3
+
+
+SHAPES_N3 = [shape for shape in relations._shapes(3) if relations._exchange_patterns(*shape)]
+
+
+@pytest.mark.parametrize("shape", SHAPES_N3)
+@pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
+def test_pattern_check_reports_what_the_list_check_reports(monkeypatch, kind, shape):
+    # one coefficient of the last pattern of one shape moves: the check by
+    # pattern must see it, and report exactly what the list walk reports
+    real = relations._kind_patterns
+
+    def moved(p, q, m, kind_, cuts):
+        patterns = real(p, q, m, kind_, cuts)
+        if (p, q, m) != shape or not patterns:
+            return patterns
+        *first, (L, J, t, ((key, coeff), *terms)) = patterns
+        return (*first, (L, J, t, ((key, 2 * coeff), *terms)))
+
+    monkeypatch.setattr(relations, "_kind_patterns", moved)
+    points = _points_for(kind, 3)
+    # every relation vanishes where every coordinate is 0: the failure shows only at later points
+    zero = replace(points[0], seed=-1,
+                   coords={k: dict.fromkeys(table, 0) for k, table in points[0].coords.items()})
+    points.insert(0, zero)
+    ideal = generate_ideal(3, kind)
+    report = _check_for(kind)(ideal, points)
+    assert not report["ok"]
+    assert report == _check_for(kind)(list(ideal), points)
+
+
+@pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
+def test_ideal_checks_refuse_a_variable_the_points_lack(kind):
+    for lacking in range(2):  # the first point, whose indices key the table, or the second
+        points = _points_for(kind, 2)[:2]
+        del points[lacking].coords[2][(1, 2)]
+        with pytest.raises(ValueError, match=r"no value for variable X_\(1, 2\)"):
+            _check_for(kind)(generate_ideal(2, kind), points)
 
 
 def test_checks_refuse_mismatched_kinds():
