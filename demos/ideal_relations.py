@@ -34,6 +34,6 @@ print("s-deformed              :", relation_text(2, s))
 print("at s=1                  :", relation_text(2, specialize_s(s, 1)))
 print("at s=0                  :", relation_text(2, specialize_s(s, 0)))
 
-# a linear relation from a non-reverse-admissible minor at n=4
-rel = symplectic_relation(4, ({1, 2}, {1, 2}))
+# a linear relation from an index whose filling is not a symplectic column, n=4
+rel = symplectic_relation(4, (1, 2, 7, 8))
 print("\nS_{(2bar,2,1bar,1)} at n=4:", relation_text(4, rel))

@@ -1,9 +1,10 @@
 """Pluecker coordinates on symplectic flag varieties: index bookkeeping,
-computed minors, reverse admissibility, PBW degrees, and exact sparse polynomials.
+the row order of an index's minor, PBW degrees, and exact sparse polynomials.
 
 A level-k Pluecker variable X_J is labelled by a sorted k-tuple J of rows from
-1..2n.  A *minor* is a pair (I2, I1) of subsets of {1..n}: I1 collects the
-unbarred row labels, I2 the bases of the barred ones, k = |I1| + |I2|.
+1..2n.  The unbarred entries of J form I1 and the bases of its barred entries
+I2; the minor (I2, I1) of J is computed by a determinant whose rows are J's,
+in the order of minor_rows.  pbw_fill(J) is J's column.
 
 Polynomials are dicts mapping term keys to integer coefficients.  A term key
 is (s_deg, vars) with vars a tuple of index tuples sorted by (level, index)
@@ -12,12 +13,11 @@ deformation parameter s.
 """
 
 from functools import lru_cache
-import itertools
 
 from .liealg import bar
 
 
-# --- index normalization ---
+# --- indices ---
 
 
 @lru_cache(maxsize=1 << 16)
@@ -34,71 +34,28 @@ def _sort_sign(seq):
     return tuple(sorted(seq)), -1 if odd else 1
 
 
-def normalize_index(k, seq):
-    """Sort a row sequence into a Pluecker index, tracking the sign.
-
-    Returns (sorted tuple, (-1)^inversions); a repeated value makes the
-    alternating form vanish, signalled as (None, 0).
-    """
-    seq = tuple(seq)
-    if len(seq) != k:
-        raise ValueError(f"expected {k} values, got {len(seq)}")
-    return _sort_sign(seq)
-
-
-# --- minors ---
+def check_index(n, J, what="column indices"):
+    """J as a tuple, or ValueError unless it is a Pluecker index at rank n:
+    1 <= |J| <= n entries, strictly increasing over 1..2n."""
+    J = tuple(J)
+    if not J or len(J) > n:
+        raise ValueError(f"column level {len(J)} out of range for n={n}")
+    if any(J[a] >= J[a + 1] for a in range(len(J) - 1)):
+        raise ValueError(f"{what} must be strictly increasing")
+    if J[0] < 1 or J[-1] > 2 * n:
+        raise ValueError(f"entries must lie in 1..{2 * n}")
+    return J
 
 
-def validate_minor(n, m):
-    """Normalize a minor to a pair of sorted tuples (I2, I1) and check ranges."""
-    I2, I1 = tuple(sorted(m[0])), tuple(sorted(m[1]))
-    if len(set(I2)) != len(I2) or len(set(I1)) != len(I1):
-        raise ValueError("minor parts must not repeat values")
-    k = len(I1) + len(I2)
-    if k == 0 or k > n:
-        raise ValueError(f"minor level {k} out of range for n={n}")
-    for v in I1 + I2:
-        if not (1 <= v <= n):
-            raise ValueError(f"minor entry {v} outside 1..{n}")
-    return I2, I1
-
-
-def minor_parts(n, m):
-    """Split a minor into (I2_tilde, I1_tilde, Gamma), each sorted ascending."""
-    I2, I1 = validate_minor(n, m)
-    gamma = tuple(sorted(set(I1) & set(I2)))
-    return (
-        tuple(v for v in I2 if v not in gamma),
-        tuple(v for v in I1 if v not in gamma),
-        gamma,
-    )
-
-
-def computed_minor(n, m):
-    """Row sequence of the determinant computing the minor (I2, I1).
-
-    The rows come out as (b1bar, ..., a_last, ..., a1, gammabar_last,
-    gamma_last, ..., gammabar_1, gamma_1) -- barred complements first, then
-    the unbarred complement reversed, then the bar/unbar pairs of the overlap
-    from the largest down.
-    """
-    i2t, i1t, gamma = minor_parts(n, m)
-    seq = [bar(b, n) for b in i2t]
-    seq.extend(reversed(i1t))
-    for g in reversed(gamma):
-        seq.extend((bar(g, n), g))
-    return tuple(seq)
-
-
-def is_reverse_admissible(n, m):
-    """True iff some T in the complement of I1 u I2 has |T| = |Gamma| and T < Gamma."""
-    i2, i1 = validate_minor(n, m)
-    gamma = sorted(set(i1) & set(i2))
-    pool = sorted(set(range(1, n + 1)) - set(i1) - set(i2))
-    return any(
-        all(t < g for t, g in zip(t_set, gamma))
-        for t_set in itertools.combinations(pool, len(gamma))
-    )
+def minor_rows(n, J):
+    """The rows of the sorted index J in the order of the determinant that
+    computes its minor: the barred entries whose base is not in J
+    descending, then the unbarred ones whose bar is not in J descending,
+    then the pairs (gammabar, gamma) of J from the largest gamma down."""
+    gamma = [g for g in J if g <= n and bar(g, n) in J]
+    paired = set(gamma).union(bar(g, n) for g in gamma)
+    pairs = (row for g in reversed(gamma) for row in (bar(g, n), g))
+    return tuple(e for e in reversed(J) if e not in paired) + tuple(pairs)
 
 
 def pbw_fill(values):
@@ -117,15 +74,6 @@ def pbw_fill(values):
         if col[r] == 0:
             col[r] = next(moved)
     return tuple(col)
-
-
-def column_to_minor(n, col):
-    """Inverse reading: unbarred entries form I1, bases of barred entries I2."""
-    if len(set(col)) != len(col):
-        raise ValueError("repeated entry in column")
-    I1 = tuple(sorted(e for e in col if e <= n))
-    I2 = tuple(sorted(bar(e, n) for e in col if e > n))
-    return validate_minor(n, (I2, I1))
 
 
 # --- PBW degrees ---

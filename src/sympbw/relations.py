@@ -1,9 +1,9 @@
 """Defining relations of the symplectic flag variety and its PBW degeneration.
 
 Quadratic Pluecker exchange relations R^t_{L,J}, linear symplectic relations
-S_{(I2,I1)} attached to non-reverse-admissible minors, their degenerate
-components (minimal total PBW-degree parts), and the one-parameter s-family
-interpolating between the two.
+S_J attached to each index J whose filling is not a symplectic column, their
+degenerate components (minimal total PBW-degree parts), and the one-parameter
+s-family interpolating between the two.
 
 An exchange relation depends only on the relative order of the rows of
 L u J, not on n or on the symplectic structure.  So generate_ideal builds
@@ -27,20 +27,19 @@ from functools import lru_cache
 import itertools
 from operator import attrgetter
 
+from .liealg import bar
 from .pluecker import (
     _sort_sign,
-    computed_minor,
-    is_reverse_admissible,
-    minor_parts,
-    normalize_index,
+    check_index,
+    minor_rows,
     pbw_degree_index,
+    pbw_fill,
     poly_add,
     poly_frozen,
     poly_term,
     term_sort_key,
-    validate_minor,
 )
-from .tableaux import entry_str
+from .tableaux import entry_str, is_symplectic_column
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,38 +103,33 @@ def pluecker_relation(n, L, J, t):
     if not (n >= p >= q >= 1 and 1 <= t <= q):
         raise ValueError(f"invalid shape: |L|={p}, |J|={q}, t={t}, n={n}")
     for seq in (L, J):
-        if any(seq[a] >= seq[a + 1] for a in range(len(seq) - 1)):
-            raise ValueError("L and J must be strictly increasing")
-        if seq[0] < 1 or seq[-1] > 2 * n:
-            raise ValueError(f"entries must lie in 1..{2 * n}")
+        check_index(n, seq, "L and J")
     return exchange_relation(L, J, t)
 
 
-def _minor_variable(n, m):
-    """(index, sign) of the Pluecker variable carrying the minor's determinant."""
-    seq = computed_minor(n, m)
-    return normalize_index(len(seq), seq)
+def symplectic_relation(n, J):
+    """Linear relation S_J of a sorted index J whose filling is not a
+    symplectic column.
 
-
-def symplectic_relation(n, m):
-    """Linear relation S_{(I2,I1)} expanding a non-reverse-admissible minor.
-
-    With Gamma = I1 & I2 = {g_1 < ... < g_t}: pick h0 in 1..t minimal so that
+    J's unbarred entries form I1 and the bases of its barred ones I2.  With
+    Gamma = I1 & I2 = {g_1 < ... < g_t}: pick h0 in 1..t minimal so that
     some T in the complement of I1 u I2 has |T| = t - h0 and T < (g_{h0+1},
     ..., g_t); let T* be the componentwise-maximal such T, b in {h0..t}
-    maximal with (T*_1, ..., T*_{b-h0}) < (g_{h0}, ..., g_{b-1}), Gtilde =
-    (g_{h0}, ..., g_b) and F = Gamma minus Gtilde.  Then
+    maximal with (T*_1, ..., T*_{b-h0}) < (g_{h0}, ..., g_{b-1}) and
+    Gtilde = (g_{h0}, ..., g_b).  Then
 
-        S = X_{(I2,I1)} - (-1)^{|G'|} sum_{G'} X_{(I2~ u F u G', I1~ u F u G')}
+        S_J = X_J - (-1)^{|G'|} sum_{G'} X_{J'}
 
-    over G' of size b - h0 + 1 disjoint from I1 u I2.
+    over G' of size b - h0 + 1 disjoint from I1 u I2, where J' trades the
+    pairs (g, gbar) of Gtilde in J for those of G'.  Each variable carries
+    the sign that sorts its minor_rows.
     """
-    I2, I1 = validate_minor(n, m)
-    if is_reverse_admissible(n, (I2, I1)):
-        raise ValueError("minor is reverse-admissible: no relation attached")
-    i2t, i1t, gamma = minor_parts(n, (I2, I1))
+    J = check_index(n, J)
+    if is_symplectic_column(n, pbw_fill(J)):
+        raise ValueError(f"the filling of {J} is a symplectic column: no relation attached")
+    gamma = tuple(g for g in J if g <= n and bar(g, n) in J)
+    pool = [v for v in range(1, n + 1) if v not in J and bar(v, n) not in J]
     t = len(gamma)
-    pool = sorted(set(range(1, n + 1)) - set(I1) - set(I2))
 
     h0 = None
     witnesses = []
@@ -162,17 +156,15 @@ def symplectic_relation(n, m):
         else:
             break
     g_tilde = gamma[h0 - 1 : b]
-    f_part = gamma[: h0 - 1] + gamma[b:]
+    traded = set(g_tilde).union(bar(g, n) for g in g_tilde)
+    kept = [e for e in J if e not in traded]
 
-    idx, sign = _minor_variable(n, (I2, I1))
-    out = poly_term(sign, [idx])
+    out = poly_term(_sort_sign(minor_rows(n, J))[1], [J])
     size = b - h0 + 1
     coeff = -((-1) ** size)
     for g_new in itertools.combinations(pool, size):
-        new_i2 = i2t + f_part + g_new
-        new_i1 = i1t + f_part + g_new
-        idx2, sign2 = _minor_variable(n, (new_i2, new_i1))
-        out = poly_add(out, poly_term(coeff * sign2, [idx2]))
+        new = tuple(sorted(kept + [row for g in g_new for row in (g, bar(g, n))]))
+        out = poly_add(out, poly_term(coeff * _sort_sign(minor_rows(n, new))[1], [new]))
     return out
 
 
@@ -250,18 +242,6 @@ def relation_text(n, relation, ascii_only=False):
             sign = " - " if coeff < 0 else " + "
         pieces.append(f"{sign}{mag}{body}")
     return "".join(pieces) if pieces else "0"
-
-
-def _all_minors(n):
-    universe = range(1, n + 1)
-    subsets = [
-        tuple(c) for r in range(0, n + 1) for c in itertools.combinations(universe, r)
-    ]
-    for I2 in subsets:
-        for I1 in subsets:
-            k = len(I1) + len(I2)
-            if 1 <= k <= n:
-                yield I2, I1
 
 
 @lru_cache(maxsize=1 << 10)
@@ -464,8 +444,8 @@ def generate_ideal(n, kind):
     """Canonical deduplicated generating set, kind in {classical, degenerate, s-family}.
 
     All exchange relations over sorted index pairs plus one symplectic
-    relation per non-reverse-admissible minor; degenerate components or
-    s-deformations of the same list for the other kinds.  Relations equal up
+    relation per index J whose filling is not a symplectic column; degenerate
+    components or s-deformations of the same list for the other kinds.  Relations equal up
     to a global sign count once; representatives have positive leading
     coefficient, labelled by the first (L, J, t) that gives them.
 
@@ -489,11 +469,13 @@ def generate_ideal(n, kind):
     transform, s_kind, _, suffix = _KINDS[kind]
     seen = set()
     s_relations = []
-    for m in _all_minors(n):
-        if not is_reverse_admissible(n, m):
-            poly = poly_frozen(transform(symplectic_relation(n, m)))
+    for k in range(1, n + 1):
+        for J in itertools.combinations(range(1, 2 * n + 1), k):
+            if is_symplectic_column(n, pbw_fill(J)):
+                continue
+            poly = poly_frozen(transform(symplectic_relation(n, J)))
             if poly not in seen:
                 seen.add(poly)
-                label = f"S_{{({_index_str(n, computed_minor(n, m))})}}{suffix}"
+                label = f"S_{{({_index_str(n, minor_rows(n, J))})}}{suffix}"
                 s_relations.append(Relation(s_kind, label, poly))
     return Ideal(n, kind, s_relations)

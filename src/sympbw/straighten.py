@@ -5,9 +5,9 @@ rewrites it, inside the classical or the degenerate coordinate ring, as an
 integer combination of monomials whose columns assemble into a symplectic PBW
 semistandard tableau.  Two kinds of steps are used:
 
-* S-step: a column whose filling is not a symplectic column comes from a
-  non-reverse-admissible minor; the linear symplectic relation replaces it by
-  strictly smaller columns in the minor order.
+* S-step: a column whose index J does not fill to a symplectic column is
+  replaced, through the linear symplectic relation S_J, by columns strictly
+  smaller in the minor order (which compares minor_rows).
 * P-step: all columns are symplectic but two neighbours violate the
   semistandard condition; the exchange relation applied to the two column
   readings replaces the pair, moving the monomial strictly down in the
@@ -26,7 +26,7 @@ rewritten again, at a cost in steps and within the step budget.
 from functools import lru_cache
 import itertools
 
-from .pluecker import _vars_key, column_to_minor, computed_minor, pbw_fill
+from .pluecker import _vars_key, check_index, minor_rows, pbw_fill
 from .relations import degenerate_component, exchange_relation, symplectic_relation
 from .tableaux import _semistandard_step, is_symplectic_column
 
@@ -77,16 +77,7 @@ _MAX_STEPS = 200000
 
 
 def _validate_monomial(n, monomial):
-    cols = []
-    for J in monomial:
-        J = tuple(J)
-        if not J or len(J) > n:
-            raise ValueError(f"column level {len(J)} out of range for n={n}")
-        if any(J[a] >= J[a + 1] for a in range(len(J) - 1)):
-            raise ValueError("column indices must be strictly increasing")
-        if J[0] < 1 or J[-1] > 2 * n:
-            raise ValueError(f"entries must lie in 1..{2 * n}")
-        cols.append(J)
+    cols = [check_index(n, J) for J in monomial]
     # canonical key: longest columns first, lexicographic within a length
     return tuple(sorted(cols, key=lambda J: (-len(J), J)))
 
@@ -154,22 +145,20 @@ def _split_head(poly, head_vars):
 def _s_step(n, mono, ring, trace):
     """Replace the first non-symplectic column via its symplectic relation.
 
-    Returns ((coeff, new monomial), ...); each new column's minor comes
+    Returns ((coeff, new monomial), ...); each new column's minor_rows come
     strictly before the replaced one's in the minor order.
     """
     bad = next(J for J in mono if not _column(n, J)[1])
-    minor = column_to_minor(n, bad)
-    relation = _relation_in_ring(symplectic_relation(n, minor), ring)
+    relation = _relation_in_ring(symplectic_relation(n, bad), ring)
     head, rest = _split_head(relation, (bad,))
     if trace:
         trace(f"S-step on column {bad}: {len(rest)} replacement column(s)")
-    src_seq = computed_minor(n, minor)
+    src_seq = minor_rows(n, bad)
     i = mono.index(bad)
     remainder = mono[:i] + mono[i + 1 :]
     out = []
     for (_, (new_col,)), coeff in rest:
-        tgt_seq = computed_minor(n, column_to_minor(n, new_col))
-        assert minor_order_compare(tgt_seq, src_seq) == -1, (new_col, bad)
+        assert minor_order_compare(minor_rows(n, new_col), src_seq) == -1, (new_col, bad)
         out.append((-head * coeff, _validate_monomial(n, remainder + (new_col,))))
     return out
 

@@ -267,7 +267,7 @@ def check_vanishing(relations, points):
     if points:
         kind = points[0].kind
     elif isinstance(relations, Ideal):  # the ring the points would have come from
-        kind = relations.ring if relations else None
+        kind = relations.ring
     else:
         kind = relations[0].ring if relations else None
     if kind == "s":

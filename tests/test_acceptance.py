@@ -15,16 +15,9 @@ from sympbw.correspondence import (
 )
 from sympbw.fflv import lattice_points
 from sympbw.liealg import Root, weyl_dimension
-from sympbw.pluecker import (
-    computed_minor,
-    is_reverse_admissible,
-    normalize_index,
-    pbw_degree_index,
-    poly_frozen,
-)
+from sympbw.pluecker import minor_rows, pbw_degree_index, pbw_fill, poly_frozen
 from sympbw.relations import (
     Relation,
-    _all_minors,
     generate_ideal,
     relation_text,
     specialize_s,
@@ -34,6 +27,7 @@ from sympbw.relations import (
 from sympbw.straighten import straighten
 from sympbw.tableaux import (
     enumerate_tableaux,
+    is_symplectic_column,
     is_symplectic_pbw_semistandard,
     tableau_weight,
 )
@@ -47,6 +41,7 @@ from sympbw.verify import (
 
 from test_correspondence import A11, A11B, A12, A22, PAIRING
 from test_liealg import DIMENSIONS
+from test_pluecker import all_indices, normalize_index
 from test_relations import CLASSICAL_N2, DEGENERATE_N2
 from test_straighten import evaluate, variables_n2
 from test_tableaux import FOURTEEN, NOT_SEMISTANDARD, SIXTEEN
@@ -128,7 +123,8 @@ def test_criterion_06_minor_expansion_golden():
     assert normalize_index(4, (7, 2, 8, 1)) == ((1, 2, 7, 8), 1)
     assert normalize_index(4, (6, 3, 8, 1)) == ((1, 3, 6, 8), 1)
     assert normalize_index(4, (5, 4, 8, 1)) == ((1, 4, 5, 8), 1)
-    assert symplectic_relation(4, ({1, 2}, {1, 2})) == {
+    assert minor_rows(4, (1, 2, 7, 8)) == (7, 2, 8, 1)
+    assert symplectic_relation(4, (1, 2, 7, 8)) == {
         (None, ((1, 2, 7, 8),)): 1,
         (None, ((1, 3, 6, 8),)): 1,
         (None, ((1, 4, 5, 8),)): 1,
@@ -205,13 +201,11 @@ def test_criterion_09_straightening():
 
 def test_criterion_10_pbw_degree_coherence():
     for n in range(1, 6):
-        for i2, i1 in _all_minors(n):
-            m = (set(i2), set(i1))
-            seq = computed_minor(n, m)
-            idx, sign = normalize_index(len(seq), seq)
-            assert sign != 0
-            if not is_reverse_admissible(n, m):
-                relation = symplectic_relation(n, m)
+        for J in all_indices(n):
+            idx, sign = normalize_index(len(J), minor_rows(n, J))
+            assert idx == J and sign != 0
+            if not is_symplectic_column(n, pbw_fill(J)):
+                relation = symplectic_relation(n, J)
                 head = pbw_degree_index(len(idx), idx)
                 assert all(term_pbw_degree(key) >= head for key in relation)
     print("criterion 10: PASS")

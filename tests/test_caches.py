@@ -2,7 +2,6 @@ import ast
 import importlib
 import inspect
 import pkgutil
-import re
 from pathlib import Path
 
 import pytest
@@ -36,25 +35,29 @@ def test_every_module_cache_is_bounded(name):
         assert maxsize is not None and 0 < maxsize <= 1 << 16, f"{name}.{fname}: maxsize={maxsize}"
 
 
+def _references(tree):
+    """Names a module reads, as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+
+
 def test_every_public_function_has_a_caller_outside_the_tests():
     # a public function that only tests call is code the library carries for
     # nothing: move it into the test that needs it as an oracle, or delete it.
-    # A re-export in __init__.py names a function without calling it.
+    # A re-export in __init__.py names a function without calling it, and a
+    # docstring or comment that names one does not call it either.
     sources = sorted(path for path in (ROOT / "src" / "sympbw").glob("*.py")
                      if path.name != "__init__.py")
     demos = sorted((ROOT / "demos").glob("*.py"))
-    lines = {path: path.read_text().splitlines() for path in sources + demos}
-    unused = []
-    for path in sources:
-        for node in ast.parse("\n".join(lines[path])).body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                continue
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(
-                word.search(line)
-                for other, text in lines.items()
-                for number, line in enumerate(text, 1)
-                if (other, number) != (path, node.lineno)
-            ):
-                unused.append(f"{path.stem}.{node.name}")
+    trees = {path: ast.parse(path.read_text()) for path in sources + demos}
+    referenced = {name for tree in trees.values() for name in _references(tree)}
+    unused = [f"{path.stem}.{node.name}"
+              for path in sources for node in trees[path].body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and node.name not in referenced]
     assert unused == []

@@ -292,14 +292,16 @@ def test_negative_seed_count_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("suite", ["classical-ideal", "degenerate-ideal", "s-family"])
 def test_zero_points_fail_under_the_requested_suite(capsys, suite):
-    argv = ("verify", "--n", "2", "--suite", suite, "--seeds", "0")
-    code, out, _ = run(capsys, *argv)
-    assert code == 1 and out.startswith(f"FAIL suite={suite} n=2 checked=0")
-    code, out, _ = run(capsys, *argv, "--report", "json")
-    report = json.loads(out)
-    assert code == 1 and report["suite"] == suite and not report["ok"]
-    assert report["failures"] == [{"error": "no points were sampled"}]
-    jsonschema.validate(report, load_schema("verifyreport.schema.json"))
+    # n = 1 has an empty generating set, which must not lose its ring
+    for n in ("1", "2"):
+        argv = ("verify", "--n", n, "--suite", suite, "--seeds", "0")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and out.startswith(f"FAIL suite={suite} n={n} checked=0")
+        code, out, _ = run(capsys, *argv, "--report", "json")
+        report = json.loads(out)
+        assert code == 1 and report["suite"] == suite and not report["ok"]
+        assert report["failures"] == [{"error": "no points were sampled"}]
+        jsonschema.validate(report, load_schema("verifyreport.schema.json"))
 
 
 def test_out_to_missing_directory_exit_1(capsys, tmp_path):

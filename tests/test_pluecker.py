@@ -2,12 +2,11 @@ import itertools
 
 import pytest
 
+from sympbw.liealg import bar
 from sympbw.pluecker import (
-    column_to_minor,
-    computed_minor,
-    is_reverse_admissible,
-    minor_parts,
-    normalize_index,
+    _sort_sign,
+    check_index,
+    minor_rows,
     pbw_degree_index,
     pbw_fill,
     poly_add,
@@ -16,9 +15,88 @@ from sympbw.pluecker import (
     poly_scale,
     poly_term,
     poly_to_json,
-    validate_minor,
 )
 from sympbw.tableaux import is_symplectic_column
+
+# --- the minor route, kept as the oracle of minor_rows ---
+#
+# A minor is a pair (I2, I1) of subsets of {1..n}: I1 collects the unbarred
+# row labels of an index, I2 the bases of the barred ones, k = |I1| + |I2|.
+
+
+def normalize_index(k, seq):
+    """Sort a row sequence into a Pluecker index, tracking the sign.
+
+    Returns (sorted tuple, (-1)^inversions); a repeated value makes the
+    alternating form vanish, signalled as (None, 0).
+    """
+    seq = tuple(seq)
+    if len(seq) != k:
+        raise ValueError(f"expected {k} values, got {len(seq)}")
+    return _sort_sign(seq)
+
+
+def validate_minor(n, m):
+    """Normalize a minor to a pair of sorted tuples (I2, I1) and check ranges."""
+    I2, I1 = tuple(sorted(m[0])), tuple(sorted(m[1]))
+    if len(set(I2)) != len(I2) or len(set(I1)) != len(I1):
+        raise ValueError("minor parts must not repeat values")
+    k = len(I1) + len(I2)
+    if k == 0 or k > n:
+        raise ValueError(f"minor level {k} out of range for n={n}")
+    for v in I1 + I2:
+        if not (1 <= v <= n):
+            raise ValueError(f"minor entry {v} outside 1..{n}")
+    return I2, I1
+
+
+def minor_parts(n, m):
+    """Split a minor into (I2_tilde, I1_tilde, Gamma), each sorted ascending."""
+    I2, I1 = validate_minor(n, m)
+    gamma = tuple(sorted(set(I1) & set(I2)))
+    return (
+        tuple(v for v in I2 if v not in gamma),
+        tuple(v for v in I1 if v not in gamma),
+        gamma,
+    )
+
+
+def computed_minor(n, m):
+    """Row sequence of the determinant computing the minor (I2, I1): barred
+    complements first, then the unbarred complement reversed, then the
+    bar/unbar pairs of the overlap from the largest down."""
+    i2t, i1t, gamma = minor_parts(n, m)
+    seq = [bar(b, n) for b in i2t]
+    seq.extend(reversed(i1t))
+    for g in reversed(gamma):
+        seq.extend((bar(g, n), g))
+    return tuple(seq)
+
+
+def is_reverse_admissible(n, m):
+    """True iff some T in the complement of I1 u I2 has |T| = |Gamma| and T < Gamma."""
+    i2, i1 = validate_minor(n, m)
+    gamma = sorted(set(i1) & set(i2))
+    pool = sorted(set(range(1, n + 1)) - set(i1) - set(i2))
+    return any(
+        all(t < g for t, g in zip(t_set, gamma))
+        for t_set in itertools.combinations(pool, len(gamma))
+    )
+
+
+def column_to_minor(n, col):
+    """Inverse reading: unbarred entries form I1, bases of barred entries I2."""
+    if len(set(col)) != len(col):
+        raise ValueError("repeated entry in column")
+    I1 = tuple(sorted(e for e in col if e <= n))
+    I2 = tuple(sorted(bar(e, n) for e in col if e > n))
+    return validate_minor(n, (I2, I1))
+
+
+def all_indices(n):
+    """Every Pluecker index at rank n, by level, then lexicographically."""
+    rows = range(1, 2 * n + 1)
+    return [J for k in range(1, n + 1) for J in itertools.combinations(rows, k)]
 
 
 def test_normalize_index():
@@ -115,6 +193,33 @@ def test_minor_column_bijection():
                 if not is_reverse_admissible(n, m):
                     col = pbw_fill(computed_minor(n, m))
                     assert not is_symplectic_column(n, pbw_fill(col))
+
+
+def test_minor_rows_and_fillings_match_the_minor_route():
+    # minor_rows reads the minor's row order off J; an index fills to a
+    # symplectic column exactly when its minor is reverse-admissible
+    for n in range(1, 8):
+        indices = all_indices(n)
+        for J in indices:
+            m = column_to_minor(n, J)
+            assert minor_rows(n, J) == computed_minor(n, m), J
+            assert is_symplectic_column(n, pbw_fill(J)) == is_reverse_admissible(n, m), J
+    assert len(indices) == 9907
+
+
+def test_check_index():
+    assert check_index(3, [1, 4, 6]) == (1, 4, 6)
+    for J, message in [((), "column level 0 out of range for n=2"),
+                       ((1, 2, 3), "column level 3 out of range for n=2"),
+                       ((2, 1), "column indices must be strictly increasing"),
+                       ((1, 1), "column indices must be strictly increasing"),
+                       ((0, 1), "entries must lie in 1..4"),
+                       ((1, 5), "entries must lie in 1..4")]:
+        with pytest.raises(ValueError) as err:
+            check_index(2, J)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="^L and J must be strictly increasing$"):
+        check_index(2, (2, 1), "L and J")
 
 
 def test_pbw_degrees():

@@ -1,13 +1,12 @@
 from functools import lru_cache
 import itertools
 import random
+import re
 
 import pytest
 
 from sympbw.pluecker import (
-    computed_minor,
-    is_reverse_admissible,
-    normalize_index,
+    pbw_fill,
     poly_add,
     poly_frozen,
     poly_term,
@@ -26,7 +25,17 @@ from sympbw.relations import (
     symplectic_relation,
     term_pbw_degree,
 )
-from sympbw.tableaux import entry_str
+from sympbw.tableaux import entry_str, is_symplectic_column
+
+from test_pluecker import (
+    all_indices,
+    column_to_minor,
+    computed_minor,
+    is_reverse_admissible,
+    minor_parts,
+    normalize_index,
+    validate_minor,
+)
 
 # The full generating set for n = 2, frozen as rendered text.
 CLASSICAL_N2 = {
@@ -87,20 +96,94 @@ def test_pluecker_relation_errors():
 
 
 def test_symplectic_relation_n2():
-    p = symplectic_relation(2, ({1}, {1}))
+    p = symplectic_relation(2, (1, 4))
     assert p == {(None, ((1, 4),)): -1, (None, ((2, 3),)): -1}
     with pytest.raises(ValueError):
-        symplectic_relation(2, ({1}, {2}))  # reverse-admissible
+        symplectic_relation(2, (2, 4))  # fills to a symplectic column
 
 
 def test_symplectic_relation_n4_diagonal():
     # the trailing-minor expansion with a two-element new part
-    p = symplectic_relation(4, ({1, 2}, {1, 2}))
+    p = symplectic_relation(4, (1, 2, 7, 8))
     assert p == {
         (None, ((1, 2, 7, 8),)): 1,
         (None, ((1, 3, 6, 8),)): 1,
         (None, ((1, 4, 5, 8),)): 1,
     }
+
+
+# --- the minor route, kept as the oracle of symplectic_relation ---
+
+
+def _minor_variable(n, m):
+    """(index, sign) of the Pluecker variable carrying the minor's determinant."""
+    seq = computed_minor(n, m)
+    return normalize_index(len(seq), seq)
+
+
+def minor_symplectic_relation(n, m):
+    """Linear relation S_{(I2,I1)} expanding a non-reverse-admissible minor."""
+    I2, I1 = validate_minor(n, m)
+    if is_reverse_admissible(n, (I2, I1)):
+        raise ValueError("minor is reverse-admissible: no relation attached")
+    i2t, i1t, gamma = minor_parts(n, (I2, I1))
+    t = len(gamma)
+    pool = sorted(set(range(1, n + 1)) - set(I1) - set(I2))
+
+    h0 = None
+    witnesses = []
+    for h in range(1, t + 1):
+        tail = gamma[h:]
+        witnesses = [
+            T
+            for T in itertools.combinations(pool, t - h)
+            if all(a < g for a, g in zip(T, tail))
+        ]
+        if witnesses:
+            h0 = h
+            break
+    assert h0 is not None  # h = t always admits the empty witness
+
+    t_max = tuple(max(w[r] for w in witnesses) for r in range(t - h0))
+    if t_max not in witnesses:
+        raise ValueError("incomparable maximal witnesses: contract violation")
+
+    b = h0
+    for bb in range(h0 + 1, t + 1):
+        if all(t_max[r] < gamma[h0 - 1 + r] for r in range(bb - h0)):
+            b = bb
+        else:
+            break
+    f_part = gamma[: h0 - 1] + gamma[b:]
+
+    idx, sign = _minor_variable(n, (I2, I1))
+    out = poly_term(sign, [idx])
+    size = b - h0 + 1
+    coeff = -((-1) ** size)
+    for g_new in itertools.combinations(pool, size):
+        new_i2 = i2t + f_part + g_new
+        new_i1 = i1t + f_part + g_new
+        idx2, sign2 = _minor_variable(n, (new_i2, new_i1))
+        out = poly_add(out, poly_term(coeff * sign2, [idx2]))
+    return out
+
+
+def test_symplectic_relation_matches_the_minor_route():
+    for n in range(1, 7):
+        bad = [J for J in all_indices(n) if not is_symplectic_column(n, pbw_fill(J))]
+        for J in bad:
+            assert symplectic_relation(n, J) == minor_symplectic_relation(
+                n, column_to_minor(n, J)), J
+    assert len(bad) == 794
+
+
+def test_symplectic_relation_refuses_what_has_no_relation():
+    for J, message in [((1, 2, 3), "column level 3 out of range for n=2"),
+                       ((4, 1), "column indices must be strictly increasing"),
+                       ((1, 5), "entries must lie in 1..4"),
+                       ((2, 4), "the filling of (2, 4) is a symplectic column")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            symplectic_relation(2, J)
 
 
 def test_term_pbw_degree():
@@ -241,7 +324,7 @@ def _naive_ideal(n, kind):
     for m in itertools.product(subsets, repeat=2):
         if 1 <= len(m[0]) + len(m[1]) <= n and not is_reverse_admissible(n, m):
             raw.append(("symplectic", f"S_{{({index(computed_minor(n, m))})}}",
-                        symplectic_relation(n, m)))
+                        minor_symplectic_relation(n, m)))
     rows = range(1, 2 * n + 1)
     for p in range(1, n + 1):
         for q in range(1, p + 1):
@@ -348,7 +431,7 @@ def _per_triple_ideal(n, kind):
     subsets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
     for m in itertools.product(subsets, repeat=2):
         if 1 <= len(m[0]) + len(m[1]) <= n and not is_reverse_admissible(n, m):
-            keep("symplectic", symplectic_relation(n, m),
+            keep("symplectic", minor_symplectic_relation(n, m),
                  lambda: f"S_{{({_index_str(n, computed_minor(n, m))})}}")
     for L, J, t, poly in _per_triple_exchange(n):
         keep("pluecker", poly, lambda: f"R^{t}_{{({_index_str(n, L)}),({_index_str(n, J)})}}")

@@ -4,8 +4,8 @@ import random
 import pytest
 
 import sympbw.straighten
-from sympbw.pluecker import _vars_key, column_to_minor, computed_minor, pbw_fill
-from sympbw.relations import exchange_relation, symplectic_relation
+from sympbw.pluecker import _vars_key, pbw_fill
+from sympbw.relations import exchange_relation
 from sympbw.straighten import (
     _column,
     _first_violation,
@@ -20,6 +20,9 @@ from sympbw.straighten import (
 )
 from sympbw.tableaux import _semistandard_step, _symplectic_columns, is_symplectic_pbw_semistandard
 from sympbw.verify import sample_classical_flag, sample_degenerate_point
+
+from test_pluecker import column_to_minor, computed_minor
+from test_relations import minor_symplectic_relation
 
 RINGS = ("classical", "degenerate")
 
@@ -195,9 +198,10 @@ def test_spot_checks_n3():
 # descent order: it pops the largest monomial in plain tuple order, so a
 # monomial can come back after it has been rewritten, and it rebuilds every
 # relation, arrangement and validation on every pop (the arrangement through
-# __wrapped__, past its cache).  The descent asserts are spelled as explicit
-# raises, since pytest would rewrite an assert here and change the
-# exception's args.
+# __wrapped__, past its cache).  Its S-step reads each column as a minor
+# (I2, I1) and builds the relation on the minor route of test_pluecker and
+# test_relations.  The descent asserts are spelled as explicit raises, since
+# pytest would rewrite an assert here and change the exception's args.
 
 _oracle_min_arrangement = _min_arrangement.__wrapped__
 
@@ -205,7 +209,7 @@ _oracle_min_arrangement = _min_arrangement.__wrapped__
 def _oracle_s_step(n, mono, ring):
     bad = next(J for J in mono if not _column(n, J)[1])
     minor = column_to_minor(n, bad)
-    relation = _relation_in_ring(symplectic_relation(n, minor), ring)
+    relation = _relation_in_ring(minor_symplectic_relation(n, minor), ring)
     head, rest = _split_head(relation, (bad,))
     src_seq = computed_minor(n, minor)
     remainder = list(mono)

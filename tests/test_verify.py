@@ -527,15 +527,18 @@ def test_checks_refuse_points_of_different_n():
 
 @pytest.mark.parametrize("kind", ["classical", "degenerate", "s-family"])
 def test_no_points_is_a_failure_not_a_pass(kind):
-    relations = generate_ideal(2, kind)
-    if kind == "s-family":
-        report = check_s_bridge(relations, [])
-    else:
-        report = check_vanishing(relations, [])
-    assert report["suite"] == ("s-family" if kind == "s-family" else f"{kind}-ideal")
-    assert report["checked"] == 0 and not report["ok"]
-    assert report["failures"] == [{"error": "no points were sampled"}]
-    jsonschema.validate(report, load_schema("verifyreport.schema.json"))
+    # at n = 1 the generating set is empty, and the suite is still the kind's
+    for n in (1, 2):
+        relations = generate_ideal(n, kind)
+        assert (len(relations) == 0) == (n == 1)
+        if kind == "s-family":
+            report = check_s_bridge(relations, [])
+        else:
+            report = check_vanishing(relations, [])
+        assert report["suite"] == ("s-family" if kind == "s-family" else f"{kind}-ideal")
+        assert report["checked"] == 0 and not report["ok"]
+        assert report["failures"] == [{"error": "no points were sampled"}]
+        jsonschema.validate(report, load_schema("verifyreport.schema.json"))
 
 
 def test_flagpoint_schema():
