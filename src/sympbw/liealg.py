@@ -10,9 +10,10 @@ with ``bar(i) = 2n + 1 - i``.  Positive roots of type C_n come in two shapes,
 
 and alpha_{i,n} = alpha_{i,nbar} = eps_i + eps_n is a single root (stored
 unbarred).  Matrices are plain lists of lists of ints; rows and columns are
-0-indexed in storage, 1-indexed in formulas.  Ranks come from fraction-free
-(Bareiss) elimination, so they stay in ``int``; the point samplers in
-``verify`` read their minors by cofactor expansion instead.
+0-indexed in storage, 1-indexed in formulas.  Every root vector f_alpha is
+strictly lower triangular, so ``verify`` never eliminates: the samplers
+read minors by cofactor expansion, and the isotropy check tests span
+membership by forward substitution, both in exact ``int``.
 """
 
 from typing import NamedTuple
@@ -207,42 +208,3 @@ def mat_mul(a, b):
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def _bareiss(mat):
-    """Fraction-free Gaussian elimination (Bareiss 1968) of an integer matrix.
-
-    Returns (rank, d).  After each pivot every remaining entry is a minor of
-    the row-permuted input, so the division by the previous pivot is exact;
-    d is the last pivot with the sign of the row swaps, which is the
-    determinant when the matrix is square of full rank.  Floor division
-    would give wrong values on non-integers, so those raise ValueError.
-    """
-    work = [list(row) for row in mat]
-    if not all(isinstance(x, int) for row in work for x in row):
-        raise ValueError("elimination needs integer entries")
-    rows = len(work)
-    cols = len(work[0]) if work else 0
-    found, sign, prev = 0, 1, 1
-    for c in range(cols):
-        pivot = next((r for r in range(found, rows) if work[r][c]), None)
-        if pivot is None:
-            continue
-        if pivot != found:
-            work[found], work[pivot] = work[pivot], work[found]
-            sign = -sign
-        top = work[found]
-        p = top[c]
-        for r in range(found + 1, rows):
-            row = work[r]
-            f = row[c]
-            for j in range(c + 1, cols):
-                row[j] = (p * row[j] - f * top[j]) // prev
-        prev = p
-        found += 1
-    return found, sign * prev
-
-
-def rank(vectors):
-    """Exact rank of a list of integer vectors of one length."""
-    return _bareiss(vectors)[0]

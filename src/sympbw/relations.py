@@ -463,7 +463,10 @@ def generate_ideal(n, kind):
     patterns without relabelling; the sorted list of Relation is built on
     first item access, iteration or ==, and kept.  verify checks an Ideal
     by pattern (see Ideal.blocks) and reads the list only on a failure.
+    ValueError unless n is an int >= 1; at n = 1 the set is empty.
     """
+    if type(n) is not int or n < 1:
+        raise ValueError(f"an ideal needs an int n >= 1, got n={n!r}")
     if kind not in _KINDS:
         raise ValueError(f"unknown kind: {kind!r}")
     transform, s_kind, _, suffix = _KINDS[kind]

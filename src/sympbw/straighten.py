@@ -11,7 +11,8 @@ semistandard tableau.  Two kinds of steps are used:
 * P-step: all columns are symplectic but two neighbours violate the
   semistandard condition; the exchange relation applied to the two column
   readings replaces the pair, moving the monomial strictly down in the
-  tableau order (compared on minimal arrangements).
+  tableau order (compared on the readings of minimal arrangements, see
+  _queue_key).
 
 Both descent claims are asserted on every step, and a step budget turns any
 unnoticed cycle into a hard error instead of a hang.
@@ -29,23 +30,6 @@ import itertools
 from .pluecker import _vars_key, check_index, minor_rows, pbw_fill
 from .relations import degenerate_component, exchange_relation, symplectic_relation
 from .tableaux import _semistandard_step, is_symplectic_column
-
-
-def tableau_order_compare(t1, t2):
-    """Compare same-shape tableaux: -1, 0, +1.
-
-    The larger tableau has the larger entry at the first difference when
-    columns are read right-to-left, each column bottom-to-top.
-    """
-    shape1 = tuple(len(c) for c in t1)
-    shape2 = tuple(len(c) for c in t2)
-    if shape1 != shape2:
-        raise ValueError(f"shape mismatch: {shape1} vs {shape2}")
-    for c in range(len(t1) - 1, -1, -1):
-        for i in range(len(t1[c]) - 1, -1, -1):
-            if t1[c][i] != t2[c][i]:
-                return 1 if t1[c][i] > t2[c][i] else -1
-    return 0
 
 
 def minor_order_compare(l_seq, j_seq):
@@ -106,8 +90,12 @@ def _min_arrangement(n, mono):
 
 
 def _queue_key(n, mono):
-    """The minimal arrangement read as tableau_order_compare reads it, then
-    the monomial.  Within one call the shape is fixed and pbw_fill is
+    """The reading of the minimal arrangement, then the monomial.
+
+    The reading lists the filled columns right to left, each bottom to top.
+    Same-shape tableaux compare in the tableau order (the larger has the
+    larger entry at the first difference of that reading) as their
+    readings compare.  Within one call the shape is fixed and pbw_fill is
     injective, so keys compare as their minimal arrangements do."""
     cols = _min_arrangement(n, mono)[1]
     return tuple(e for col in reversed(cols) for e in reversed(col)), mono
@@ -189,11 +177,11 @@ def _p_step(n, mono, ring, trace):
             f"{len(rest)} exchange term(s)"
         )
     remainder = arr[:c] + arr[c + 2 :]
+    reading = _queue_key(n, mono)[0]
     out = []
     for (_, vars_), coeff in rest:
         new_mono = _validate_monomial(n, remainder + vars_)
-        _, new_cols = _min_arrangement(n, new_mono)
-        assert tableau_order_compare(new_cols, cols) == -1, (vars_, mono)
+        assert _queue_key(n, new_mono)[0] < reading, (vars_, mono)
         out.append((-head * coeff, new_mono))
     return out
 

@@ -144,11 +144,15 @@ def tableau_weight(n, tab):
     return tuple(wt)
 
 
+def _shape(cols):
+    """The partition lambda of validated columns: row i has as many boxes as
+    there are columns longer than i."""
+    return [sum(1 for col in cols if len(col) > i) for i in range(len(cols[0]))] if cols else []
+
+
 def tableau_to_json(n, tab):
     cols = validate_tableau(n, tab)
-    lengths = [len(c) for c in cols]
-    shape = [sum(1 for l in lengths if l >= i + 1) for i in range(lengths[0])] if cols else []
-    return {"shape": shape, "columns": [list(c) for c in cols]}
+    return {"shape": _shape(cols), "columns": [list(c) for c in cols]}
 
 
 def tableau_from_json(n, data):
@@ -162,9 +166,7 @@ def tableau_from_json(n, data):
     if any(type(x) is not int for x in itertools.chain(given, *cols)):
         raise ValueError(expected)
     tab = validate_tableau(n, cols)
-    lengths = [len(c) for c in tab]
-    shape = [sum(1 for l in lengths if l >= i + 1) for i in range(lengths[0])] if tab else []
-    if given != shape:
+    if given != _shape(tab):
         raise ValueError("shape does not match columns")
     return tab
 

@@ -29,7 +29,6 @@ from .liealg import (
     mat_mul,
     mat_scale,
     positive_roots,
-    rank,
     root_vector_matrix,
     symplectic_form,
     transpose,
@@ -300,16 +299,32 @@ def check_s_bridge(relations, points):
             "failures": failures, "ok": not failures}
 
 
-def _projection_13(n, k, vector):
-    """Keep the first k and last k coordinates, zero the middle block."""
-    return tuple(
-        v if i < k or i >= 2 * n - k else 0 for i, v in enumerate(vector)
-    )
+def _pr13_pairing(k, u, w):
+    """Psi(pr_{1,3} u, pr_{1,3} w) for vectors of length 2n.
+
+    Psi is antidiagonal, +1 at (r, bar(r)) for r <= n, so the pairing is
+    sum_{r<=n} (u_r w_bar(r) - u_bar(r) w_r); pr_{1,3} keeps rows 1..k and
+    their bars and zeroes the rest, so only the terms r <= k remain.
+    """
+    return sum(u[r] * w[-1 - r] - u[-1 - r] * w[r] for r in range(k))
 
 
-def _projection_drop(i, vector):
-    """Kill coordinate i (1-indexed)."""
-    return tuple(0 if r == i - 1 else v for r, v in enumerate(vector))
+def _in_span(columns, v):
+    """Whether v lies in the span of the columns, by forward substitution.
+
+    Column i must be unitriangular at the top: entry i is 1 and every entry
+    above it 0, as in both samplers, since every f_alpha is strictly lower
+    triangular.  Subtracting residual[i] times column i clears entry i for
+    good, so v is in the span iff nothing is left.  ValueError for any
+    other column.
+    """
+    residual = list(v)
+    for i, col in enumerate(columns):
+        if col[i] != 1 or any(col[:i]):
+            raise ValueError(f"column {i + 1} is not unitriangular at the top: {list(col)}")
+        if c := residual[i]:
+            residual = [a - c * b for a, b in zip(residual, col)]
+    return not any(residual)
 
 
 def check_isotropy_projection(point, k):
@@ -317,30 +332,23 @@ def check_isotropy_projection(point, k):
 
     True iff pr_{1,3}(U_k) is isotropic for the symplectic form, and (for
     k < n) the projection of U_k killing coordinate k+1 lies inside U_{k+1}.
-    ValueError unless 1 <= k <= point.n.
+    Containment is decided by forward substitution, so the k + 1 columns
+    of point.bases[k + 1] must be unitriangular in their top k + 1 rows
+    (1 on the diagonal, 0 above it), as the samplers' columns are;
+    ValueError for any other.  ValueError unless k is an int in 1..point.n.
     """
     n = point.n
-    if not 1 <= k <= n:
+    if type(k) is not int or not 1 <= k <= n:
         raise ValueError(f"level k must be in 1..{n}, got {k}")
-    psi = symplectic_form(n)
     basis = point.bases[k]
-    projected = [_projection_13(n, k, v) for v in basis]
-    for u in projected:
-        for w in projected:
-            pairing = sum(
-                u[r] * psi[r][c] * w[c]
-                for r in range(2 * n)
-                for c in range(2 * n)
-                if psi[r][c]
-            )
-            if pairing:
-                return False
     if k < n:
         upper = point.bases[k + 1]
-        dropped = [_projection_drop(k + 1, v) for v in basis]
-        if rank(list(upper) + dropped) != rank(upper):
-            return False
-    return True
+        for v in basis:
+            dropped = list(v)
+            dropped[k] = 0
+            if not _in_span(upper, dropped):
+                return False
+    return not any(_pr13_pairing(k, u, w) for u, w in itertools.combinations(basis, 2))
 
 
 def check_counts(n, lam):

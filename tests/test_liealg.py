@@ -7,7 +7,6 @@ import pytest
 
 from sympbw.liealg import (
     Root,
-    _bareiss,
     bar,
     jpos,
     make_root,
@@ -15,7 +14,6 @@ from sympbw.liealg import (
     mat_mul,
     mat_scale,
     positive_roots,
-    rank,
     root_from_dict,
     root_key,
     root_vector_matrix,
@@ -184,6 +182,47 @@ def test_weyl_dimension_rejects_bad_input():
     for n, m in ((1, (0.5,)), (2, (1.0, 1)), (2, (True, 1))):
         with pytest.raises(ValueError):
             weyl_dimension(n, m)
+
+
+def _bareiss(mat):
+    """Fraction-free Gaussian elimination (Bareiss 1968) of an integer matrix.
+
+    Returns (rank, d).  After each pivot every remaining entry is a minor of
+    the row-permuted input, so the division by the previous pivot is exact;
+    d is the last pivot with the sign of the row swaps, which is the
+    determinant when the matrix is square of full rank.  Floor division
+    would give wrong values on non-integers, so those raise ValueError.
+    """
+    work = [list(row) for row in mat]
+    if not all(isinstance(x, int) for row in work for x in row):
+        raise ValueError("elimination needs integer entries")
+    rows = len(work)
+    cols = len(work[0]) if work else 0
+    found, sign, prev = 0, 1, 1
+    for c in range(cols):
+        pivot = next((r for r in range(found, rows) if work[r][c]), None)
+        if pivot is None:
+            continue
+        if pivot != found:
+            work[found], work[pivot] = work[pivot], work[found]
+            sign = -sign
+        top = work[found]
+        p = top[c]
+        for r in range(found + 1, rows):
+            row = work[r]
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+        found += 1
+    return found, sign * prev
+
+
+def rank(vectors):
+    """Exact rank of a list of integer vectors of one length, by Bareiss
+    elimination.  The oracle of the isotropy check's span membership
+    (tests/test_verify.py)."""
+    return _bareiss(vectors)[0]
 
 
 def det(mat):

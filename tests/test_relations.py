@@ -256,6 +256,15 @@ def test_generate_ideal_bad_kind():
         generate_ideal(2, "quantum")
 
 
+def test_generate_ideal_refuses_an_n_that_is_not_an_int_at_least_one():
+    for n, kind in ((0, "classical"), (-2, "degenerate"), (2.0, "classical"), (True, "s-family")):
+        with pytest.raises(ValueError, match="needs an int n >= 1"):
+            generate_ideal(n, kind)
+    for kind in ("classical", "degenerate", "s-family"):
+        ideal = generate_ideal(1, kind)
+        assert len(ideal) == 0 and list(ideal) == []
+
+
 def test_relation_text_forms():
     assert relation_text(2, {}) == "0"
     assert relation_text(2, poly_term(2, [(1,)])) == "2*X_{1}"

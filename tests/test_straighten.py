@@ -11,14 +11,19 @@ from sympbw.straighten import (
     _first_violation,
     _is_straight,
     _min_arrangement,
+    _queue_key,
     _relation_in_ring,
     _split_head,
     _validate_monomial,
     minor_order_compare,
     straighten,
-    tableau_order_compare,
 )
-from sympbw.tableaux import _semistandard_step, _symplectic_columns, is_symplectic_pbw_semistandard
+from sympbw.tableaux import (
+    _semistandard_step,
+    _symplectic_columns,
+    enumerate_tableaux,
+    is_symplectic_pbw_semistandard,
+)
 from sympbw.verify import sample_classical_flag, sample_degenerate_point
 
 from test_pluecker import column_to_minor, computed_minor
@@ -49,6 +54,24 @@ def arrangements(mono):
         yield tuple(itertools.chain.from_iterable(choice))
 
 
+def tableau_order_compare(t1, t2):
+    """Compare same-shape tableaux: -1, 0, +1.
+
+    The larger tableau has the larger entry at the first difference when
+    columns are read right-to-left, each column bottom-to-top.  The oracle
+    of the reading that straighten's queue key and P-step assert compare.
+    """
+    shape1 = tuple(len(c) for c in t1)
+    shape2 = tuple(len(c) for c in t2)
+    if shape1 != shape2:
+        raise ValueError(f"shape mismatch: {shape1} vs {shape2}")
+    for c in range(len(t1) - 1, -1, -1):
+        for i in range(len(t1[c]) - 1, -1, -1):
+            if t1[c][i] != t2[c][i]:
+                return 1 if t1[c][i] > t2[c][i] else -1
+    return 0
+
+
 def test_tableau_order_compare():
     assert tableau_order_compare(((1, 2),), ((1, 3),)) == -1
     assert tableau_order_compare(((1, 3),), ((1, 2),)) == 1
@@ -57,6 +80,20 @@ def test_tableau_order_compare():
     assert tableau_order_compare(((3, 2), (1,)), ((1, 2), (4,))) == -1
     with pytest.raises(ValueError):
         tableau_order_compare(((1, 2),), ((1,), (2,)))
+
+
+@pytest.mark.parametrize("n, m", [(1, (3,)), (2, (1, 1)), (2, (2, 1)), (3, (1, 1, 0)), (3, (0, 1, 1))])
+def test_queue_key_reading_matches_the_tableau_order(n, m):
+    # a semistandard tableau is its monomial's minimal arrangement, so the
+    # queue key reads the tableau itself
+    readings = {}
+    for tab in enumerate_tableaux(n, m):
+        mono = _validate_monomial(n, [tuple(sorted(col)) for col in tab])
+        assert _min_arrangement(n, mono)[1] == tab
+        readings[tab] = _queue_key(n, mono)[0]
+    for t1, t2 in itertools.product(readings, repeat=2):
+        r1, r2 = readings[t1], readings[t2]
+        assert (r1 > r2) - (r1 < r2) == tableau_order_compare(t1, t2), (t1, t2)
 
 
 def test_minor_order_compare():

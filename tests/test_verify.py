@@ -13,6 +13,9 @@ from sympbw.pluecker import pbw_degree_index, poly_add, poly_frozen
 from sympbw import relations
 from sympbw.relations import Relation, generate_ideal, poly_term, term_pbw_degree
 from sympbw.verify import (
+    FlagPoint,
+    _in_span,
+    _pr13_pairing,
     _random_coefficients,
     check_counts,
     check_isotropy_projection,
@@ -23,7 +26,7 @@ from sympbw.verify import (
     sample_degenerate_point,
 )
 
-from test_liealg import DIMENSIONS, matrix_minor
+from test_liealg import DIMENSIONS, matrix_minor, rank
 
 
 def load_schema(name):
@@ -275,6 +278,87 @@ def test_isotropy_projection():
     assert not check_isotropy_projection(sample_classical_flag(2, 0), 1)
 
 
+def oracle_pairing(n, k, u, w):
+    """Psi(pr_{1,3} u, pr_{1,3} w) summed over the 2n x 2n symplectic form."""
+    psi = symplectic_form(n)
+    keep = [r < k or r >= 2 * n - k for r in range(2 * n)]
+    return sum(u[r] * psi[r][c] * w[c] for r in range(2 * n) for c in range(2 * n)
+               if keep[r] and keep[c])
+
+
+def oracle_isotropy_projection(point, k):
+    """The isotropy check by the 2n x 2n form and Bareiss ranks."""
+    basis = point.bases[k]
+    if any(oracle_pairing(point.n, k, u, w) for u in basis for w in basis):
+        return False
+    if k < point.n:
+        upper = list(point.bases[k + 1])
+        dropped = [tuple(0 if r == k else x for r, x in enumerate(v)) for v in basis]
+        return rank(upper + dropped) == rank(upper)
+    return True
+
+
+@pytest.mark.parametrize("sample", [sample_classical_flag, sample_degenerate_point])
+def test_containment_by_substitution_matches_the_bareiss_oracle(sample):
+    # 200 cases per sampler: n <= 5, seeds 0-19, every level k < n
+    contained = []
+    for n in range(1, 6):
+        for seed in range(20):
+            point = sample(n, seed)
+            for k in range(1, n):
+                upper = point.bases[k + 1]
+                dropped = [tuple(0 if r == k else x for r, x in enumerate(v)) for v in point.bases[k]]
+                for v in dropped:
+                    assert _in_span(upper, v) == (rank(list(upper) + [v]) == rank(upper)), (n, seed, k)
+                contained.append(all(_in_span(upper, v) for v in dropped))
+            for k in range(1, n + 1):
+                assert check_isotropy_projection(point, k) == oracle_isotropy_projection(point, k)
+    assert len(contained) == 200
+    # classical columns leave U_{k+1} once row k + 1 is killed; degenerate ones never do
+    assert all(contained) if sample is sample_degenerate_point else not any(contained)
+
+
+@pytest.mark.parametrize("sample", [sample_classical_flag, sample_degenerate_point])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_pairing_matches_the_symplectic_form(sample, n):
+    # the columns of every level, and random controls that pair nonzero
+    rng = random.Random(n)
+    nonzero = 0
+    for seed in range(5):
+        point = sample(n, seed)
+        vectors = [v for k in range(1, n + 1) for v in point.bases[k]]
+        vectors += [tuple(rng.randint(-5, 5) for _ in range(2 * n)) for _ in range(3)]
+        for k in range(1, n + 1):
+            for u, w in itertools.product(vectors, repeat=2):
+                expected = oracle_pairing(n, k, u, w)
+                assert _pr13_pairing(k, u, w) == expected, (seed, k, u, w)
+                nonzero += expected != 0
+    assert nonzero
+
+
+def test_isotropy_holds_but_containment_fails():
+    # U_1 = span(e1 + e3): one vector, so pr_{1,3}(U_1) is isotropic, but
+    # killing row 2 leaves e1 + e3, which is not in U_2 = span(e1, e2)
+    u1 = (1, 0, 1, 0)
+    e1, e2 = (1, 0, 0, 0), (0, 1, 0, 0)
+    point = FlagPoint(n=2, kind="degenerate", seed=None, coords={}, bases={1: [u1], 2: [e1, e2]})
+    assert _pr13_pairing(1, u1, u1) == 0
+    assert not _in_span(point.bases[2], u1)
+    assert not check_isotropy_projection(point, 1)
+    assert check_isotropy_projection(replace(point, bases={1: [u1], 2: [u1, e2]}), 1)
+
+
+@pytest.mark.parametrize("upper", [
+    [(2, 0, 0, 0), (0, 1, 0, 0)],  # a diagonal entry other than 1
+    [(1, 0, 0, 0), (1, 1, 0, 0)],  # a nonzero above the diagonal
+    [(0, 1, 0, 0), (1, 0, 0, 0)],  # a permutation of e1, e2: same span, not triangular
+])
+def test_isotropy_refuses_a_level_that_is_not_unitriangular(upper):
+    point = FlagPoint(n=2, kind="degenerate", seed=None, coords={}, bases={1: [(1, 0, 0, 0)], 2: upper})
+    with pytest.raises(ValueError, match="column . is not unitriangular"):
+        check_isotropy_projection(point, 1)
+
+
 @pytest.mark.parametrize("sample", [sample_classical_flag, sample_degenerate_point])
 @pytest.mark.parametrize("n", [0, -1])
 def test_samplers_refuse_a_rank_below_one(sample, n):
@@ -282,7 +366,7 @@ def test_samplers_refuse_a_rank_below_one(sample, n):
         sample(n, 1)
 
 
-@pytest.mark.parametrize("k", [0, 4, -1])
+@pytest.mark.parametrize("k", [0, 4, -1, 1.5, True])
 def test_isotropy_projection_refuses_a_level_the_point_lacks(k):
     with pytest.raises(ValueError, match="level k must be in 1..3"):
         check_isotropy_projection(sample_degenerate_point(3, 1), k)
