@@ -276,9 +276,14 @@ def _cmd_straighten(args):
     return "\n".join(lines), 0
 
 
-def _sample_points(kind, n, seeds):
-    sample = sample_classical_flag if kind == "classical" else sample_degenerate_point
-    return [sample(n, seed) for seed in seeds]
+# Ideal suite -> (point kind, ideal kind, check).  The check is named and looked
+# up when the verb runs, like generate_ideal, so rebinding either on this module
+# (as the benchmark's probe and tracer do) reaches every call.
+_IDEAL_SUITES = {
+    "classical-ideal": ("classical", "classical", "check_vanishing"),
+    "degenerate-ideal": ("degenerate", "degenerate", "check_vanishing"),
+    "s-family": ("classical", "s-family", "check_s_bridge"),
+}
 
 
 def _cmd_verify(args):
@@ -289,24 +294,19 @@ def _cmd_verify(args):
             raise ValueError(f"--lambda is required for the {args.suite} suite")
         lam = _parse_lambda(args.lam, n)
         report = check_counts(n, lam) if args.suite == "counts" else check_roundtrip(n, lam)
-    elif args.suite == "classical-ideal":
-        points = _sample_points("classical", n, seeds)
-        report = check_vanishing(generate_ideal(n, "classical"), points)
-        report["seeds"] = seeds
-    elif args.suite == "degenerate-ideal":
-        points = _sample_points("degenerate", n, seeds)
-        report = check_vanishing(generate_ideal(n, "degenerate"), points)
-        for point in points:
-            for k in range(1, n + 1):
-                if not check_isotropy_projection(point, k):
-                    report["failures"].append(
-                        {"seed": point.seed, "level": k, "error": "isotropy/projection failed"}
-                    )
-        report["ok"] = not report["failures"]
-        report["seeds"] = seeds
-    else:  # s-family
-        points = _sample_points("classical", n, seeds)
-        report = check_s_bridge(generate_ideal(n, "s-family"), points)
+    else:
+        point_kind, ideal_kind, check = _IDEAL_SUITES[args.suite]
+        sample = sample_classical_flag if point_kind == "classical" else sample_degenerate_point
+        points = [sample(n, seed) for seed in seeds]
+        report = globals()[check](generate_ideal(n, ideal_kind), points)
+        if point_kind == "degenerate":
+            for point in points:
+                for k in range(1, n + 1):
+                    if not check_isotropy_projection(point, k):
+                        report["failures"].append(
+                            {"seed": point.seed, "level": k, "error": "isotropy/projection failed"}
+                        )
+            report["ok"] = not report["failures"]
         report["seeds"] = seeds
     report["n"] = n
     code = 0 if report["ok"] else 1

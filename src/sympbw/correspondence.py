@@ -17,7 +17,7 @@ from functools import lru_cache
 from .fflv import contains
 from .liealg import Root, bar, jpos, root_vector_weight
 from .tableaux import (
-    _semistandard_step,
+    _uncovered_row,
     highest_weight_tableau,
     is_symplectic_column,
     tableau_weight,
@@ -66,7 +66,7 @@ def _column_ok(n, col):
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _pair_ok(prev_col, col):
-    return _semistandard_step(prev_col, col)
+    return not _uncovered_row(prev_col, col)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -36,8 +36,10 @@ def _sort_sign(seq):
 
 def check_index(n, J, what="column indices"):
     """J as a tuple, or ValueError unless it is a Pluecker index at rank n:
-    1 <= |J| <= n entries, strictly increasing over 1..2n."""
+    1 <= |J| <= n int entries, strictly increasing over 1..2n."""
     J = tuple(J)
+    if any(type(e) is not int for e in J):
+        raise ValueError(f"{what} must be ints, got {J!r}")
     if not J or len(J) > n:
         raise ValueError(f"column level {len(J)} out of range for n={n}")
     if any(J[a] >= J[a + 1] for a in range(len(J) - 1)):

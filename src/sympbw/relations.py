@@ -33,13 +33,12 @@ from .pluecker import (
     check_index,
     minor_rows,
     pbw_degree_index,
-    pbw_fill,
     poly_add,
     poly_frozen,
     poly_term,
     term_sort_key,
 )
-from .tableaux import entry_str, is_symplectic_column
+from .tableaux import _index_column, entry_str
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +124,7 @@ def symplectic_relation(n, J):
     the sign that sorts its minor_rows.
     """
     J = check_index(n, J)
-    if is_symplectic_column(n, pbw_fill(J)):
+    if _index_column(n, J)[1]:
         raise ValueError(f"the filling of {J} is a symplectic column: no relation attached")
     gamma = tuple(g for g in J if g <= n and bar(g, n) in J)
     pool = [v for v in range(1, n + 1) if v not in J and bar(v, n) not in J]
@@ -474,7 +473,7 @@ def generate_ideal(n, kind):
     s_relations = []
     for k in range(1, n + 1):
         for J in itertools.combinations(range(1, 2 * n + 1), k):
-            if is_symplectic_column(n, pbw_fill(J)):
+            if _index_column(n, J)[1]:
                 continue
             poly = poly_frozen(transform(symplectic_relation(n, J)))
             if poly not in seen:

@@ -83,20 +83,47 @@ def is_symplectic_column(n, col):
     return True
 
 
-def _semistandard_step(prev_col, col):
-    """Column-pair condition: every entry of col is dominated at or below its row in prev_col."""
-    for i in range(len(col)):
-        if not any(prev_col[i2] >= col[i] for i2 in range(i, len(prev_col))):
-            return False
-    return True
+def _uncovered_row(prev_col, col):
+    """The first row t (from 1) of col whose entry no entry of prev_col at
+    row t or below dominates, or 0: the column-pair condition of a
+    semistandard tableau holds between neighbours exactly when this is 0."""
+    for i, e in enumerate(col):
+        if max(prev_col[i:], default=0) < e:
+            return i + 1
+    return 0
+
+
+def _first_violation(cols):
+    """(pair position c, row t) of the first neighbours cols[c], cols[c + 1]
+    with _uncovered_row t != 0, or None when the columns are semistandard.
+
+    Straightening tests only a monomial's minimal arrangement: for symplectic
+    columns of one length with fillings a != b, _uncovered_row(a, b) == 0
+    forces a[::-1] > b[::-1], so only the arrangement with every same-length
+    group in descending reversed filling (straighten._min_arrangement) can be
+    semistandard.  The tests check that rule for every pair at n <= 5; were
+    it false, a straight monomial would be rewritten further and a descent
+    assert or the step budget would fail, not the answer.
+    """
+    for c in range(len(cols) - 1):
+        t = _uncovered_row(cols[c], cols[c + 1])
+        if t:
+            return c, t
+    return None
 
 
 def is_symplectic_pbw_semistandard(n, tab):
     """Symplectic PBW columns plus the semistandard condition between neighbours."""
     cols = validate_tableau(n, tab)
-    if not all(is_symplectic_column(n, col) for col in cols):
-        return False
-    return all(_semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1))
+    return all(is_symplectic_column(n, col) for col in cols) and _first_violation(cols) is None
+
+
+@lru_cache(maxsize=1 << 16)
+def _index_column(n, J):
+    """(pbw_fill(J), whether that filling is a symplectic column) for a sorted
+    index J at rank n: the one place an index is filled and the filling tested."""
+    fill = pbw_fill(J)
+    return fill, is_symplectic_column(n, fill)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -106,8 +133,8 @@ def _symplectic_columns(n, length):
     Conditions (i) and (ii) leave one arrangement of each set of entries,
     its ``pbw_fill``, so only the k-subsets of the alphabet are tried.
     """
-    fills = (pbw_fill(J) for J in itertools.combinations(range(1, 2 * n + 1), length))
-    return tuple(sorted(col for col in fills if is_symplectic_column(n, col)))
+    cols = (_index_column(n, J) for J in itertools.combinations(range(1, 2 * n + 1), length))
+    return tuple(sorted(fill for fill, symplectic in cols if symplectic))
 
 
 def enumerate_tableaux(n, m):
@@ -125,7 +152,7 @@ def enumerate_tableaux(n, m):
             out.append(tuple(cols))
             return
         for col in _symplectic_columns(n, lengths[c]):
-            if c == 0 or _semistandard_step(cols[-1], col):
+            if c == 0 or not _uncovered_row(cols[-1], col):
                 grow(cols + [col])
 
     grow([])

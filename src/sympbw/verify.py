@@ -61,17 +61,6 @@ class FlagPoint:
             out.update(table)
         return out
 
-    def to_dict(self):
-        levels = []
-        for k in range(1, self.n + 1):
-            coordinates = [
-                {"J": list(J), "value": str(v)}
-                for J, v in sorted(self.coords[k].items())
-                if v
-            ]
-            levels.append({"level": k, "coordinates": coordinates})
-        return {"n": self.n, "kind": self.kind, "seed": self.seed, "levels": levels}
-
 
 def _minors(vectors, size):
     """Every k x k minor of the size x k matrix with the k given columns, by
@@ -106,8 +95,8 @@ def _matrix_columns(m, count):
 
 
 def _random_coefficients(n, seed):
-    if n < 1:
-        raise ValueError(f"a flag point needs n >= 1, got n={n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"a flag point needs n >= 1, an int, got n={n!r}")
     rng = random.Random(seed)
     return {alpha: rng.randint(-9, 9) for alpha in positive_roots(n)}
 

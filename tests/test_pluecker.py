@@ -16,6 +16,7 @@ from sympbw.pluecker import (
     poly_term,
     poly_to_json,
 )
+from sympbw.relations import pluecker_relation
 from sympbw.tableaux import is_symplectic_column
 
 # --- the minor route, kept as the oracle of minor_rows ---
@@ -214,12 +215,18 @@ def test_check_index():
                        ((2, 1), "column indices must be strictly increasing"),
                        ((1, 1), "column indices must be strictly increasing"),
                        ((0, 1), "entries must lie in 1..4"),
-                       ((1, 5), "entries must lie in 1..4")]:
+                       ((1, 5), "entries must lie in 1..4"),
+                       ((1.5,), "column indices must be ints, got (1.5,)"),
+                       ((True, 2), "column indices must be ints, got (True, 2)"),
+                       ((1, 2.0), "column indices must be ints, got (1, 2.0)"),
+                       ("12", "column indices must be ints, got ('1', '2')")]:
         with pytest.raises(ValueError) as err:
             check_index(2, J)
         assert str(err.value) == message
     with pytest.raises(ValueError, match="^L and J must be strictly increasing$"):
         check_index(2, (2, 1), "L and J")
+    with pytest.raises(ValueError, match=r"^L and J must be ints, got \(1\.0, 2\)$"):
+        pluecker_relation(2, (1.0, 2), (3,), 1)
 
 
 def test_pbw_degrees():

@@ -4,23 +4,22 @@ import random
 import pytest
 
 import sympbw.straighten
-from sympbw.pluecker import _vars_key, pbw_fill
+from sympbw.pluecker import _vars_key, minor_rows, pbw_fill
 from sympbw.relations import exchange_relation
 from sympbw.straighten import (
-    _column,
-    _first_violation,
-    _is_straight,
     _min_arrangement,
+    _minor_key,
     _queue_key,
     _relation_in_ring,
     _split_head,
     _validate_monomial,
-    minor_order_compare,
     straighten,
 )
 from sympbw.tableaux import (
-    _semistandard_step,
+    _first_violation,
+    _index_column,
     _symplectic_columns,
+    _uncovered_row,
     enumerate_tableaux,
     is_symplectic_pbw_semistandard,
 )
@@ -96,11 +95,41 @@ def test_queue_key_reading_matches_the_tableau_order(n, m):
         assert (r1 > r2) - (r1 < r2) == tableau_order_compare(t1, t2), (t1, t2)
 
 
+def minor_order_compare(l_seq, j_seq):
+    """Compare two row sequences of equal length: -1 if L comes strictly
+    before J, 0 if equal, +1 otherwise.
+
+    L is before J when its entry sum is smaller, or the sums agree and the
+    last nonzero entry of L - J is positive.  The oracle of the minor order
+    that straighten's S-step compares by _minor_key.
+    """
+    l_seq, j_seq = tuple(l_seq), tuple(j_seq)
+    if len(l_seq) != len(j_seq):
+        raise ValueError("sequences must have equal length")
+    if l_seq == j_seq:
+        return 0
+    nu_l, nu_j = sum(l_seq), sum(j_seq)
+    if nu_l != nu_j:
+        return -1 if nu_l < nu_j else 1
+    diff = [a - b for a, b in zip(l_seq, j_seq)]
+    last = next(d for d in reversed(diff) if d)
+    return -1 if last > 0 else 1
+
+
 def test_minor_order_compare():
     assert minor_order_compare((1, 2), (1, 3)) == -1  # lower PBW degree first
     assert minor_order_compare((1, 3), (1, 2)) == 1
     assert minor_order_compare((2, 3), (1, 4)) == 1  # degree tie: last difference
     assert minor_order_compare((1, 2), (1, 2)) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_minor_key_orders_as_the_comparator(n):
+    for k in range(1, n + 1):
+        indices = list(itertools.combinations(range(1, 2 * n + 1), k))
+        for L, J in itertools.product(indices, repeat=2):
+            want = minor_order_compare(minor_rows(n, L), minor_rows(n, J)) == -1
+            assert (_minor_key(n, L) < _minor_key(n, J)) == want, (L, J)
 
 
 def brute_min_arrangement(mono):
@@ -132,7 +161,7 @@ def test_same_length_semistandard_pairs_descend(n):
     # the rule that lets straightening test only the minimal arrangement
     for k in range(1, n + 1):
         for a, b in itertools.permutations(_symplectic_columns(n, k), 2):
-            if _semistandard_step(a, b):
+            if not _uncovered_row(a, b):
                 assert a[::-1] > b[::-1], (a, b)
 
 
@@ -186,6 +215,9 @@ def test_errors():
         straighten(2, ((1, 5),), "classical")
     with pytest.raises(ValueError):
         straighten(2, ((1, 2, 3),), "classical")
+    for mono in ([[1.5]], [[True, 2]], [[1, 2.0], [3]]):  # entries are ints, not just numbers
+        with pytest.raises(ValueError, match="must be ints"):
+            straighten(3, mono, "classical")
 
 
 def test_degree_two_exhaustive_n2():
@@ -244,7 +276,7 @@ _oracle_min_arrangement = _min_arrangement.__wrapped__
 
 
 def _oracle_s_step(n, mono, ring):
-    bad = next(J for J in mono if not _column(n, J)[1])
+    bad = next(J for J in mono if not _index_column(n, J)[1])
     minor = column_to_minor(n, bad)
     relation = _relation_in_ring(minor_symplectic_relation(n, minor), ring)
     head, rest = _split_head(relation, (bad,))
@@ -290,10 +322,10 @@ def oracle_straighten(n, monomial, ring, max_steps=200000):
         if coeff == 0:
             continue
         arrangement = None
-        if all(_column(n, J)[1] for J in mono):
+        if all(_index_column(n, J)[1] for J in mono):
             arrangement = _oracle_min_arrangement(n, mono)
             cols = arrangement[1]
-            if _is_straight(cols):
+            if _first_violation(cols) is None:
                 result[cols] = result.get(cols, 0) + coeff
                 continue
         steps += 1

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from sympbw.liealg import weyl_dimension
+from sympbw.pluecker import pbw_fill
 from sympbw.tableaux import (
     column_lengths_from_m,
     enumerate_tableaux,
@@ -16,9 +17,11 @@ from sympbw.tableaux import (
     tableau_to_json,
     tableau_weight,
     validate_tableau,
+    _first_violation,
+    _index_column,
     _moved_entries_ok,
-    _semistandard_step,
     _symplectic_columns,
+    _uncovered_row,
     _validate_columns,
 )
 
@@ -78,7 +81,7 @@ def is_pbw_semistandard_typeA(n2, tab):
     """
     cols = _validate_columns(tab, n2, n2)  # a taller column would break condition (i)
     return all(_moved_entries_ok(col) for col in cols) and all(
-        _semistandard_step(cols[c], cols[c + 1]) for c in range(len(cols) - 1)
+        not _uncovered_row(cols[c], cols[c + 1]) for c in range(len(cols) - 1)
     )
 
 
@@ -107,6 +110,34 @@ def test_symplectic_columns_match_brute_force():
             if is_symplectic_column(n, col)
         )
         assert _symplectic_columns(n, k) == brute
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_index_column_fills_and_tests_the_index(n):
+    for k in range(1, n + 1):
+        for J in itertools.combinations(range(1, 2 * n + 1), k):
+            assert _index_column(n, J) == (pbw_fill(J), is_symplectic_column(n, pbw_fill(J))), J
+
+
+def brute_first_violation(cols):
+    """(pair, row) of the first entry, scanning pairs left to right and rows
+    top to bottom, that no entry at or below its row in the left neighbour
+    dominates."""
+    for c, (left, right) in enumerate(zip(cols, cols[1:])):
+        for i in range(len(right)):
+            if not any(left[r] >= right[i] for r in range(i, len(left))):
+                return c, i + 1
+    return None
+
+
+@pytest.mark.parametrize("n, width", [(1, 3), (2, 3), (3, 2)])
+def test_first_violation_matches_a_brute_scan(n, width):
+    # every sequence of symplectic columns, unequal lengths in either order included
+    columns = [col for k in range(1, n + 1) for col in _symplectic_columns(n, k)]
+    for cols in itertools.product(columns, repeat=width):
+        assert _first_violation(cols) == brute_first_violation(cols), cols
+        first = brute_first_violation(cols[:2])
+        assert _uncovered_row(cols[0], cols[1]) == (first[1] if first else 0), cols
 
 
 def test_census_counts_beyond_n6():
